@@ -6,6 +6,8 @@ columns is extended with parity blocks by the column code, then every row
 is extended across servers by the dispersal code, and every resulting cell
 gets a homomorphic tag.  Server j stores column j.
 
+Data rows are tagged at counter 0 and parity rows at the append counter,
+which starts at 1, so no data cell and parity cell ever share a PRF input.
 Appends add one grid row: the client row-encodes the k new blocks, tags
 them at counter 0, and ships each server its new cell plus one tag delta
 per parity slot; servers update their own parity blocks, so nothing is
@@ -171,7 +173,8 @@ def block_payload_size(fld: Field, chunks: int) -> int:
 
 
 def cell_context(fid: bytes, ktilde: int, ctr: int, i: int, j: int) -> TagContext:
-    """Tag context of grid cell (i, j): data rows stay at counter 0."""
+    """Tag context of grid cell (i, j): data rows stay at counter 0, parity
+    rows take the append counter, which is at least 1."""
     return TagContext(fid, i, j, 0 if i <= ktilde else ctr)
 
 
@@ -238,7 +241,9 @@ def outsource(
             f"exceeding the order of {fld.token}"
         )
     grid = _product_encode(fld, data_rows, params.n, params.k, params.stilde0)
-    shares = _tag_grid(sk, fld, fid, grid, ktilde, parity_ctr=0)
+    # Parity starts at counter 1: at 0 it would share its PRF input with the
+    # data row appended later at its row number, and that pair reveals alpha.
+    shares = _tag_grid(sk, fld, fid, grid, ktilde, parity_ctr=1)
     meta = FileMetadata(
         fid=fid,
         field=fld,
@@ -247,7 +252,7 @@ def outsource(
         ktilde=ktilde,
         stilde=params.stilde0,
         stilde0=params.stilde0,
-        ctr=0,
+        ctr=1,
         chunks=chunks,
         original_length=len(data),
         eps_q=params.eps_q,
@@ -305,6 +310,12 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
             raise ParameterError("append block has the wrong chunk count")
     if meta.r + 1 > fld.order:
         raise CapacityError("append would exceed field order")
+    if meta.stilde and meta.ctr < 1:
+        # Metadata from before parity started at counter 1: this append
+        # would tag the new row under its parity's PRF input.
+        raise ParameterError(
+            "file has parity at counter 0; outsource it again under a fresh key"
+        )
 
     ktilde_old, ctr_old = meta.ktilde, meta.ctr
     ktilde_new, ctr_new = ktilde_old + 1, ctr_old + 1
@@ -313,6 +324,8 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
     col_ext = (
         crs.canonical_matrix(meta.stilde, ktilde_new, fld) if meta.stilde else None
     )
+    # The new column of the column code, shared by every server.
+    new_col = [col_ext.cauchy_entry(t, ktilde_new - 1) for t in range(meta.stilde)]
 
     orders = []
     for j in range(1, meta.n + 1):
@@ -320,8 +333,7 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
         new_tag = auth.tag_block(sk, blk, TagContext(meta.fid, ktilde_new, j, 0), fld)
         deltas = []
         for slot in range(1, meta.stilde + 1):
-            coeff = col_ext.cauchy_entry(slot - 1, ktilde_new - 1)
-            delta_m = fld.vec_scale(coeff, blk)
+            delta_m = fld.vec_scale(new_col[slot - 1], blk)
             deltas.append(
                 auth.tag_delta(
                     sk,
@@ -335,7 +347,8 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
             AppendOrder(meta.fid, j, ctr_new, blk, new_tag, tuple(deltas))
         )
     meta.ktilde, meta.ctr = ktilde_new, ctr_new
-    meta.original_length += block_payload_size(fld, meta.chunks) * meta.k
+    # The zero padding of a partial last row becomes file content.
+    meta.original_length = ktilde_new * block_payload_size(fld, meta.chunks) * meta.k
     return orders
 
 
@@ -442,6 +455,17 @@ def redistribute(sk: SecretKey, meta: FileMetadata, dumps) -> RedistributeResult
 
     row_code = crs.canonical_matrix(meta.s, k, fld)
     col_code = crs.canonical_matrix(meta.stilde, ktilde, fld) if meta.stilde else None
+    # A wiped server erases the same position in every row: one plan per
+    # (code, erasure mask) serves them all.
+    plans: dict[tuple, crs.RecoveryPlan] = {}
+
+    def plan_for(code, present):
+        key = (code is col_code, tuple(present))
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = code.recovery_plan(present)
+        return plan
+
     changed = True
     while changed:
         changed = False
@@ -450,7 +474,7 @@ def redistribute(sk: SecretKey, meta: FileMetadata, dumps) -> RedistributeResult
             present = [v is not None for v in row]
             have = sum(present)
             if have < n and have >= k:
-                plan = row_code.recovery_plan(present)
+                plan = plan_for(row_code, present)
                 message = plan.apply_vectors(row)
                 blocks[i0] = row_code.encode_vectors(message)
                 changed = True
@@ -459,7 +483,7 @@ def redistribute(sk: SecretKey, meta: FileMetadata, dumps) -> RedistributeResult
             present = [v is not None for v in col]
             have = sum(present)
             if col_code is not None and have < r and have >= ktilde:
-                plan = col_code.recovery_plan(present)
+                plan = plan_for(col_code, present)
                 message = plan.apply_vectors(col)
                 full = col_code.encode_vectors(message)
                 for i0 in range(r):

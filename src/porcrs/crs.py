@@ -6,15 +6,20 @@ grid with entries a_ij = 1 / (x_i - y_j), built from two disjoint sets X
 submatrix of such a matrix is invertible, so any k surviving codeword
 symbols recover the message.
 
-The protocol always uses the canonical sets (x_i = i - 1, y_j = order - j):
-they are recomputable from the bare parameters (s, k, field) and extend by
-one message column without touching existing entries -- the new y simply
-continues downward from the top of the field.  Arbitrary X/Y sets are
-accepted for library use and test vectors.
+The protocol always uses the canonical sets (x_i = i, y_j = order - 1 - j,
+both 0-based): they are recomputable from the bare parameters (s, k,
+field) and extend by one message column without touching existing
+entries -- the new y simply continues downward from the top of the field.
+:func:`canonical_matrix` holds them in closed form, as ``range`` objects
+checked by their bounds, so building, extending and reading single
+entries take time and memory independent of k; Cauchy rows are computed
+only when asked for, with one batch inversion per row.  Explicit X/Y sets
+are accepted for library use and test vectors.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 from .errors import CapacityError, ParameterError, UnrecoverableError
@@ -23,14 +28,19 @@ from .field import Field
 
 @dataclass(frozen=True)
 class CauchySets:
-    """The x-values (one per parity row) and y-values (one per column)."""
+    """The x-values (one per parity row) and y-values (one per column).
 
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
+    Either may be a ``range``, as in the closed-form canonical sets.
+    """
+
+    xs: Sequence[int]
+    ys: Sequence[int]
 
     def validate(self, fld: Field) -> None:
         """Check distinctness and disjointness of the two sets."""
-        for v in self.xs + self.ys:
+        if _ranges_valid(self.xs, self.ys, fld.order):
+            return
+        for v in (*self.xs, *self.ys):
             fld.check_element(v)
         if len(set(self.xs)) != len(self.xs):
             raise ParameterError("x-values must be pairwise distinct")
@@ -40,31 +50,50 @@ class CauchySets:
             raise ParameterError("x-values and y-values must be disjoint")
 
 
-def canonical_sets(s: int, k: int, fld: Field) -> CauchySets:
-    """First s field elements as xs, elements descending from the top as ys.
+def _ranges_valid(xs, ys, order: int) -> bool:
+    """Bounds check for two ranges.
 
-    The j-th y is order - j, so extending to k+1 columns appends order-k-1
-    and leaves every existing entry untouched.
+    A range's values are distinct by construction, so two spans inside
+    [0, order) that do not overlap make valid sets.  False means "check
+    element by element", not "invalid".
     """
+    if not (isinstance(xs, range) and isinstance(ys, range)):
+        return False
+    spans = [(min(r[0], r[-1]), max(r[0], r[-1])) for r in (xs, ys) if r]
+    if any(lo < 0 or hi >= order for lo, hi in spans):
+        return False
+    return len(spans) < 2 or spans[0][1] < spans[1][0] or spans[1][1] < spans[0][0]
+
+
+def _canonical_ranges(s: int, k: int, fld: Field) -> CauchySets:
+    """The canonical sets in closed form: x_i = i, y_j = order - 1 - j."""
     if s < 0 or k < 0:
         raise ParameterError("set sizes must be nonnegative")
     if s + k > fld.order:
         raise CapacityError(
             f"{s} + {k} elements exceed the order of {fld.token}"
         )
-    xs = tuple(range(s))
-    ys = tuple(fld.order - j for j in range(1, k + 1))
-    return CauchySets(xs, ys)
+    return CauchySets(range(s), range(fld.order - 1, fld.order - 1 - k, -1))
+
+
+def canonical_sets(s: int, k: int, fld: Field) -> CauchySets:
+    """First s field elements as xs, elements descending from the top as ys.
+
+    The j-th y is order - j, so extending to k+1 columns appends order-k-1
+    and leaves every existing entry untouched.  Materialized as tuples;
+    :func:`canonical_matrix` keeps the same sets in closed form.
+    """
+    sets = _canonical_ranges(s, k, fld)
+    return CauchySets(tuple(sets.xs), tuple(sets.ys))
 
 
 class DistributionMatrix:
     """Identity over Cauchy; immutable once built (extend returns a copy).
 
-    Cauchy rows are materialized lazily and cached; the cache carries over
-    to extended successors since existing entries never change.
+    Cauchy rows are materialized lazily and cached per matrix.
     """
 
-    def __init__(self, sets: CauchySets, fld: Field, _rows: dict | None = None):
+    def __init__(self, sets: CauchySets, fld: Field):
         sets.validate(fld)
         if len(sets.xs) + len(sets.ys) > fld.order:
             raise CapacityError("codeword length exceeds field order")
@@ -72,7 +101,7 @@ class DistributionMatrix:
         self.field = fld
         self.k_cols = len(sets.ys)
         self.n_rows = self.k_cols + len(sets.xs)
-        self._rows: dict[int, list[int]] = _rows if _rows is not None else {}
+        self._rows: dict[int, list[int]] = {}
 
     @property
     def s_rows(self) -> int:
@@ -83,14 +112,9 @@ class DistributionMatrix:
         if not 0 <= i < self.s_rows:
             raise ParameterError(f"cauchy row {i} out of range")
         row = self._rows.get(i)
-        if row is None or len(row) < self.k_cols:
-            fld = self.field
-            x = self.sets.xs[i]
-            start = 0 if row is None else len(row)
-            row = list(row) if row is not None else []
-            for j in range(start, self.k_cols):
-                row.append(fld.inv(fld.sub(x, self.sets.ys[j])))
-            self._rows[i] = row
+        if row is None:
+            fld, x = self.field, self.sets.xs[i]
+            row = self._rows[i] = fld.inv_many([fld.sub(x, y) for y in self.sets.ys])
         return row
 
     def cauchy_entry(self, i: int, j: int) -> int:
@@ -98,7 +122,7 @@ class DistributionMatrix:
         if not 0 <= i < self.s_rows or not 0 <= j < self.k_cols:
             raise ParameterError(f"cauchy entry ({i}, {j}) out of range")
         row = self._rows.get(i)
-        if row is not None and j < len(row):
+        if row is not None:
             return row[j]
         fld = self.field
         return fld.inv(fld.sub(self.sets.xs[i], self.sets.ys[j]))
@@ -110,7 +134,8 @@ class DistributionMatrix:
         """Append one message column; parity count stays fixed.
 
         Without an explicit y the canonical continuation order-(k+1) is
-        used.  Existing Cauchy entries are reused verbatim.
+        used, and closed-form sets stay closed-form.  Existing Cauchy
+        entries keep their values.
         """
         fld = self.field
         if self.n_rows + 1 > fld.order:
@@ -118,10 +143,12 @@ class DistributionMatrix:
         if y is None:
             y = fld.order - (self.k_cols + 1)
         fld.check_element(y)
-        sets = CauchySets(self.sets.xs, self.sets.ys + (y,))
-        # Share already-computed row prefixes; cauchy_row fills the new tail.
-        rows = {i: list(row) for i, row in self._rows.items()}
-        return DistributionMatrix(sets, fld, _rows=rows)
+        ys = self.sets.ys
+        if isinstance(ys, range) and y == ys.start + len(ys) * ys.step:
+            ys = range(ys.start, y + ys.step, ys.step)
+        else:
+            ys = (*ys, y)
+        return DistributionMatrix(CauchySets(self.sets.xs, ys), fld)
 
     def encode(self, message) -> list[int]:
         """Message of k symbols -> systematic codeword of n symbols."""
@@ -185,9 +212,7 @@ class DistributionMatrix:
         # For each chosen parity row l:
         #   sum_{j erased} a_lj m_j = c_l - sum_{j present} a_lj m_j
         # The submatrix over erased columns is itself Cauchy, so it inverts.
-        sub = [
-            [self.cauchy_entry(i, j) for j in erased] for i in parity_rows
-        ]
+        sub = [[self.cauchy_row(i)[j] for j in erased] for i in parity_rows]
         inv_sub = _invert(sub, fld)
         return RecoveryPlan(self, have_sys, erased, parity_rows, inv_sub)
 
@@ -224,6 +249,7 @@ class RecoveryPlan:
         out: list[list[tuple[int, int]]] = [[] for _ in range(k)]
         for j in self.have_sys:
             out[j] = [(j, 1)]
+        rows = [m.cauchy_row(i) for i in self.parity_rows]
         for row_idx, j in enumerate(self.erased):
             terms: list[tuple[int, int]] = []
             for col_idx, i in enumerate(self.parity_rows):
@@ -231,8 +257,9 @@ class RecoveryPlan:
                 if w == 0:
                     continue
                 terms.append((k + i, w))
+                row = rows[col_idx]
                 for jp in self.have_sys:
-                    coeff = fld.neg(fld.mul(w, m.cauchy_entry(i, jp)))
+                    coeff = fld.neg(fld.mul(w, row[jp]))
                     if coeff:
                         terms.append((jp, coeff))
             out[j] = _merge_terms(terms, fld)
@@ -296,5 +323,6 @@ def build_distribution(sets: CauchySets, fld: Field) -> DistributionMatrix:
 
 
 def canonical_matrix(s: int, k: int, fld: Field) -> DistributionMatrix:
-    """The protocol's matrix: canonical sets for the given shape."""
-    return DistributionMatrix(canonical_sets(s, k, fld), fld)
+    """The protocol's matrix: canonical sets for the given shape, in closed
+    form, so building it takes time and memory independent of s and k."""
+    return DistributionMatrix(_canonical_ranges(s, k, fld), fld)

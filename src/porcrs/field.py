@@ -117,6 +117,10 @@ class Field:
     def inv(self, a: int) -> int:
         raise NotImplementedError
 
+    def inv_many(self, values) -> list[int]:
+        """Inverses of all values; ZeroDivisionError if any is zero."""
+        raise NotImplementedError
+
     def element_from_wide_bytes(self, data: bytes) -> int:
         """Reduce a 16-byte big-endian string into the field.
 
@@ -213,6 +217,24 @@ class PrimeField(Field):
         if a % self.modulus == 0:
             raise ZeroDivisionError(f"no inverse of 0 in {self.token}")
         return pow(a, self.modulus - 2, self.modulus)
+
+    def inv_many(self, values):
+        """Montgomery's batch inversion: one inv and about 3n products."""
+        values = list(values)
+        if not values:
+            return []
+        p = self.modulus
+        prefix = []  # prefix[t] = values[0] * ... * values[t-1]
+        acc = 1
+        for a in values:
+            prefix.append(acc)
+            acc = acc * a % p
+        acc = self.inv(acc)  # raises if any value is zero
+        out = [0] * len(values)
+        for t in range(len(values) - 1, -1, -1):
+            out[t] = prefix[t] * acc % p
+            acc = acc * values[t] % p
+        return out
 
     def element_from_wide_bytes(self, data):
         if len(data) != 16:
@@ -354,6 +376,12 @@ class BinaryField(Field):
         if a == 0:
             raise ZeroDivisionError(f"no inverse of 0 in {self.token}")
         return int(self._inv[a])
+
+    def inv_many(self, values):
+        idx = np.asarray(values, dtype=np.int64)
+        if not idx.all():
+            raise ZeroDivisionError(f"no inverse of 0 in {self.token}")
+        return self._inv[idx].tolist()
 
     def element_from_wide_bytes(self, data):
         if len(data) != 16:

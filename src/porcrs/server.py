@@ -57,9 +57,6 @@ class ServerState:
     def ctr(self) -> int:
         return self.params.ctr
 
-    def column_code(self) -> crs.DistributionMatrix:
-        return crs.canonical_matrix(self.params.stilde, self.params.ktilde, self.field)
-
 
 def store_share(j: int, fid: bytes, cells: list, params: ShareParams) -> ServerState:
     """Initialize (or wholesale replace) a server's share."""

@@ -103,7 +103,7 @@ def test_append_then_audit_and_status(workspace, capsys):
     assert audit(root) == 0
     assert main(["status", "--root", str(root), "--meta", "file.meta"]) == 0
     out = capsys.readouterr().out
-    assert "ctr=1" in out
+    assert "ctr=2" in out
 
 
 def test_append_wrong_length_rejected(workspace):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from porcrs import client, server
+from porcrs import auth, client, crs, server
 from porcrs.auth import keygen, prf
 from porcrs.client import (
     cell_context,
@@ -63,7 +63,8 @@ def brute_force_grid(sk, fid, data, n, k, stilde):
 
     for i0, row in enumerate(grid):
         for j0, value in enumerate(row):
-            ctx = TagContext(fid, i0 + 1, j0 + 1, 0)
+            # data rows at counter 0, fresh parity rows at counter 1
+            ctx = TagContext(fid, i0 + 1, j0 + 1, 0 if i0 < ktilde else 1)
             tag = (prf(sk.kprf, ctx, M61) + sk.alpha * value) % P
             cells[i0][j0] = ((value,), (tag,))
     return cells
@@ -432,3 +433,81 @@ def test_parity_floor_grows_on_redistribute():
     result = redistribute(sk, meta, [server.dump_all(s) for s in servers])
     assert result is not None and result.data == data
     assert result.meta.stilde / result.meta.r >= meta.eps_p
+
+
+def test_appended_row_and_old_parity_never_share_a_prf_input():
+    # A server that keeps the parity cell it held at row ktilde + 1 and then
+    # receives the data cell appended at that row holds two blocks tagged
+    # under one PRF input if their contexts coincide; then
+    # alpha = (sigma_new - sigma_old) / (m_new - m_old).
+    rng = random.Random(21)
+    sk, params = setup(M61, 5, 3, 2, rng=rng)
+    meta, shares = outsource(sk, params, rng.randbytes(4 * 3 * 7), rng=rng)
+    row_no, ctr_old = meta.ktilde + 1, meta.ctr
+    kept = [shares[j0][row_no - 1] for j0 in range(meta.n)]
+    orders = client.append(
+        sk, meta, client.row_blocks_from_payload(meta, rng.randbytes(21))
+    )
+
+    def recovered_alpha(old_cell, new_block, new_tag):
+        (m_old,), (s_old,) = old_cell
+        (m_new,), (s_new,) = new_block, new_tag
+        return (s_new - s_old) * M61.inv((m_new - m_old) % P) % P
+
+    for j0, order in enumerate(orders):
+        j = j0 + 1
+        old_ctx = cell_context(meta.fid, row_no - 1, ctr_old, row_no, j)
+        new_ctx = cell_context(meta.fid, meta.ktilde, meta.ctr, row_no, j)
+        assert old_ctx != new_ctx
+        assert recovered_alpha(kept[j0], order.new_block, order.new_tag) != sk.alpha
+        # The same arithmetic does recover alpha when the inputs coincide.
+        forged_tag = auth.tag_block(sk, order.new_block, old_ctx, M61)
+        assert recovered_alpha(kept[j0], order.new_block, forged_tag) == sk.alpha
+
+
+def test_append_refuses_parity_at_counter_zero():
+    # Metadata written before parity started at counter 1.
+    rng = random.Random(24)
+    sk, params = setup(M61, 5, 3, 2, rng=rng)
+    meta, _ = outsource(sk, params, rng.randbytes(21), rng=rng)
+    meta.ctr = 0
+    with pytest.raises(ParameterError):
+        client.append(sk, meta, client.row_blocks_from_payload(meta, rng.randbytes(21)))
+
+
+def test_append_after_partial_last_row_keeps_the_padding():
+    rng = random.Random(22)
+    sk, params = setup(M61, 5, 3, 2, rng=rng)
+    row_bytes = 3 * 7
+    data = rng.randbytes(20 * row_bytes + 10)
+    meta, shares = outsource(sk, params, data, rng=rng)
+    servers = client.make_server_states(meta, shares)
+    row = rng.randbytes(row_bytes)
+    orders = client.append(sk, meta, client.row_blocks_from_payload(meta, row))
+    for state, order in zip(servers, orders):
+        server.apply_append(state, order)
+    assert meta.original_length == 22 * row_bytes
+    result = redistribute(sk, meta, [server.dump_all(s) for s in servers])
+    assert result is not None
+    assert result.data == data + bytes(row_bytes - 10) + row
+
+
+def test_redistribute_builds_one_plan_per_erasure_mask(monkeypatch):
+    rng = random.Random(23)
+    sk, params = setup(M61, 7, 4, 3, rng=rng)
+    data = rng.randbytes(30 * 4 * 7)
+    meta, shares = outsource(sk, params, data, rng=rng)
+    servers = client.make_server_states(meta, shares)
+    servers[2].cells = [None] * meta.r
+    masks = []
+    build = crs.DistributionMatrix.recovery_plan
+
+    def counted(self, present):
+        masks.append(tuple(present))
+        return build(self, present)
+
+    monkeypatch.setattr(crs.DistributionMatrix, "recovery_plan", counted)
+    result = redistribute(sk, meta, [server.dump_all(s) for s in servers])
+    assert result is not None and result.data == data
+    row_mask = tuple(j0 != 2 for j0 in range(meta.n))
+    assert masks == [row_mask]

@@ -105,6 +105,23 @@ def test_zero_inverse_is_reported():
 
 
 @pytest.mark.parametrize("fld", [Z11, GF8, GF16, M61], ids=lambda f: f.token)
+def test_inv_many_matches_inv(fld):
+    rng = random.Random(21)
+    for size in (0, 1, 2, 7, 300):
+        values = [fld.rand_nonzero(rng) for _ in range(size)]
+        got = fld.inv_many(values)
+        assert got == [fld.inv(a) for a in values]
+        assert all(type(a) is int for a in got)
+
+
+@pytest.mark.parametrize("fld", [Z11, GF8, GF16, M61], ids=lambda f: f.token)
+def test_inv_many_rejects_zero(fld):
+    for values in ([0], [1, 0], [3, 5, 0, 2]):
+        with pytest.raises(ZeroDivisionError):
+            fld.inv_many(values)
+
+
+@pytest.mark.parametrize("fld", [Z11, GF8, GF16, M61], ids=lambda f: f.token)
 def test_ring_laws_on_random_triples(fld):
     rng = random.Random(6)
     for _ in range(10_000):
