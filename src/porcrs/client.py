@@ -193,19 +193,10 @@ def _split_blocks(fld: Field, data: bytes, k: int, chunks: int):
 def _product_encode(fld: Field, data_rows, n: int, k: int, stilde: int):
     """Column-encode the k primary columns, then row-encode every row."""
     ktilde = len(data_rows)
-    grid = [list(row) for row in data_rows]
-    if stilde:
-        col_code = crs.canonical_matrix(stilde, ktilde, fld)
-        parity = [[None] * k for _ in range(stilde)]
-        for j in range(k):
-            col = fld.vec_stack([data_rows[i][j] for i in range(ktilde)])
-            for slot in range(stilde):
-                parity[slot][j] = fld.vec_combine(col_code.cauchy_row(slot), col)
-        grid.extend(parity)
+    col_code = crs.canonical_matrix(stilde, ktilde, fld)
+    cols = [col_code.encode_vectors([row[j] for row in data_rows]) for j in range(k)]
     row_code = crs.canonical_matrix(n - k, k, fld)
-    for row in grid:
-        row.extend(row_code.encode_vectors(row[:k])[k:])
-    return grid
+    return [row_code.encode_vectors([col[i] for col in cols]) for i in range(ktilde + stilde)]
 
 
 def _tag_grid(sk: SecretKey, fld: Field, fid: bytes, grid, ktilde: int, parity_ctr: int):
@@ -213,11 +204,9 @@ def _tag_grid(sk: SecretKey, fld: Field, fid: bytes, grid, ktilde: int, parity_c
     n = len(grid[0])
     shares = [[] for _ in range(n)]
     for i0, row in enumerate(grid):
-        i = i0 + 1
-        ctr = 0 if i <= ktilde else parity_ctr
         for j0, block in enumerate(row):
-            tag = auth.tag_block(sk, block, TagContext(fid, i, j0 + 1, ctr), fld)
-            shares[j0].append((block, tag))
+            ctx = cell_context(fid, ktilde, parity_ctr, i0 + 1, j0 + 1)
+            shares[j0].append((block, auth.tag_block(sk, block, ctx, fld)))
     return shares
 
 
@@ -321,31 +310,23 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
     ktilde_new, ctr_new = ktilde_old + 1, ctr_old + 1
     row_code = crs.canonical_matrix(meta.s, meta.k, fld)
     encoded = row_code.encode_vectors(list(row_blocks))
-    col_ext = (
-        crs.canonical_matrix(meta.stilde, ktilde_new, fld) if meta.stilde else None
-    )
-    # The new column of the column code, shared by every server.
-    new_col = [col_ext.cauchy_entry(t, ktilde_new - 1) for t in range(meta.stilde)]
+    col_ext = crs.canonical_matrix(meta.stilde, ktilde_new, fld)
 
     orders = []
     for j in range(1, meta.n + 1):
         blk = encoded[j - 1]
         new_tag = auth.tag_block(sk, blk, TagContext(meta.fid, ktilde_new, j, 0), fld)
-        deltas = []
-        for slot in range(1, meta.stilde + 1):
-            delta_m = fld.vec_scale(new_col[slot - 1], blk)
-            deltas.append(
-                auth.tag_delta(
-                    sk,
-                    TagContext(meta.fid, ktilde_old + slot, j, ctr_old),
-                    TagContext(meta.fid, ktilde_new + slot, j, ctr_new),
-                    delta_m,
-                    fld,
-                )
+        deltas = tuple(
+            auth.tag_delta(
+                sk,
+                TagContext(meta.fid, ktilde_old + slot, j, ctr_old),
+                TagContext(meta.fid, ktilde_new + slot, j, ctr_new),
+                delta_m,
+                fld,
             )
-        orders.append(
-            AppendOrder(meta.fid, j, ctr_new, blk, new_tag, tuple(deltas))
+            for slot, delta_m in enumerate(col_ext.parity_delta(blk), 1)
         )
+        orders.append(AppendOrder(meta.fid, j, ctr_new, blk, new_tag, deltas))
     meta.ktilde, meta.ctr = ktilde_new, ctr_new
     # The zero padding of a partial last row becomes file content.
     meta.original_length = ktilde_new * block_payload_size(fld, meta.chunks) * meta.k

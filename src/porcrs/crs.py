@@ -102,6 +102,7 @@ class DistributionMatrix:
         self.k_cols = len(sets.ys)
         self.n_rows = self.k_cols + len(sets.xs)
         self._rows: dict[int, list[int]] = {}
+        self._last_col: list[int] | None = None
 
     @property
     def s_rows(self) -> int:
@@ -151,20 +152,13 @@ class DistributionMatrix:
         return DistributionMatrix(CauchySets(self.sets.xs, ys), fld)
 
     def encode(self, message) -> list[int]:
-        """Message of k symbols -> systematic codeword of n symbols."""
-        if len(message) != self.k_cols:
-            raise ParameterError(
-                f"message length {len(message)} != k = {self.k_cols}"
-            )
+        """Message of k symbols -> systematic codeword of n symbols.
+
+        A one-chunk wrapper over :meth:`encode_vectors`.
+        """
         fld = self.field
-        out = [fld.check_element(int(m)) for m in message]
-        for i in range(self.s_rows):
-            row = self.cauchy_row(i)
-            acc = 0
-            for a, m in zip(row, out[: self.k_cols]):
-                acc = fld.add(acc, fld.mul(a, m))
-            out.append(acc)
-        return out
+        codeword = self.encode_vectors([fld.vec_from_ints([m]) for m in message])
+        return [int(v[0]) for v in codeword]
 
     def encode_vectors(self, vecs) -> list:
         """Systematic encode applied position-wise to chunk vectors."""
@@ -177,15 +171,18 @@ class DistributionMatrix:
             out.append(fld.vec_combine(self.cauchy_row(i), stacked))
         return out
 
-    def parity_delta(self, new_symbol: int) -> list[int]:
-        """Parity adjustment when the last column's symbol arrives.
+    def parity_delta(self, new_vec) -> list:
+        """Parity adjustment when the last column's chunk vector arrives.
 
-        Adding delta[i] to the i-th parity symbol of the shorter code's
-        codeword yields the parity of the extended codeword.
+        Adding delta[i] to the i-th parity vector of the shorter code's
+        codeword yields the parity of the extended codeword.  The last
+        column is computed once per matrix, with one batch inversion.
         """
         fld = self.field
-        j = self.k_cols - 1
-        return [fld.mul(new_symbol, self.cauchy_entry(i, j)) for i in range(self.s_rows)]
+        if self._last_col is None:
+            y = self.sets.ys[-1]
+            self._last_col = fld.inv_many([fld.sub(x, y) for x in self.sets.xs])
+        return [fld.vec_scale(a, new_vec) for a in self._last_col]
 
     # -- erasure decoding ------------------------------------------------
 
@@ -195,7 +192,7 @@ class DistributionMatrix:
         Surviving systematic rows are used as-is; remaining rank comes from
         the lowest-index surviving parity rows.  Returns coefficients that
         express every message symbol as a combination of surviving symbols,
-        usable on scalars and on chunk vectors alike.
+        applied position-wise to chunk vectors.
         """
         if len(present) != self.n_rows:
             raise ParameterError("presence mask length must equal n")
@@ -220,13 +217,13 @@ class DistributionMatrix:
         """Recover the message from a codeword with None marking erasures.
 
         If the present symbols are inconsistent (not from one codeword) the
-        result satisfies the chosen k rows only.
+        result satisfies the chosen k rows only.  A one-chunk wrapper over
+        :meth:`RecoveryPlan.apply_vectors`.
         """
-        if len(symbols) != self.n_rows:
-            raise ParameterError("codeword length mismatch")
-        present = [s is not None for s in symbols]
-        plan = self.recovery_plan(present)
-        return plan.apply_scalar(symbols)
+        fld = self.field
+        plan = self.recovery_plan([s is not None for s in symbols])
+        vectors = [None if s is None else fld.vec_from_ints([s]) for s in symbols]
+        return [int(v[0]) for v in plan.apply_vectors(vectors)]
 
 
 @dataclass
@@ -264,16 +261,6 @@ class RecoveryPlan:
                         terms.append((jp, coeff))
             out[j] = _merge_terms(terms, fld)
         self._coeffs = out
-        return out
-
-    def apply_scalar(self, symbols) -> list[int]:
-        fld = self.matrix.field
-        out = []
-        for terms in self.coefficients():
-            acc = 0
-            for row, coeff in terms:
-                acc = fld.add(acc, fld.mul(coeff, int(symbols[row])))
-            out.append(acc)
         return out
 
     def apply_vectors(self, vectors) -> list:

@@ -33,20 +33,6 @@ _DTYPE = {8: np.uint8, 16: np.uint16}
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Element multiplications performed by vec_scale/vec_combine since the last
-# reset; the simulation harness reads this to account per-append work.
-_MUL_OPS = 0
-
-
-def reset_mul_count() -> None:
-    global _MUL_OPS
-    _MUL_OPS = 0
-
-
-def mul_count() -> int:
-    return _MUL_OPS
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < 3.3 * 10^24."""
     if n < 2:
@@ -209,8 +195,6 @@ class PrimeField(Field):
         return self.modulus - a if a else 0
 
     def mul(self, a, b):
-        global _MUL_OPS
-        _MUL_OPS += 1
         return a * b % self.modulus
 
     def inv(self, a):
@@ -260,19 +244,15 @@ class PrimeField(Field):
         return tuple((a - b) % p for a, b in zip(u, v, strict=True))
 
     def vec_scale(self, s, v):
-        global _MUL_OPS
-        _MUL_OPS += len(v)
         p = self.modulus
         return tuple(s * a % p for a in v)
 
     def vec_combine(self, coeffs, vecs):
-        global _MUL_OPS
         if len(coeffs) != len(vecs):
             raise ParameterError("one coefficient per vector required")
         if not vecs:
             raise ParameterError("vec_combine needs at least one vector")
         c = len(vecs[0])
-        _MUL_OPS += len(coeffs) * c
         p = self.modulus
         out = []
         for u in range(c):
@@ -366,8 +346,6 @@ class BinaryField(Field):
         return a
 
     def mul(self, a, b):
-        global _MUL_OPS
-        _MUL_OPS += 1
         if a == 0 or b == 0:
             return 0
         return int(self._exp[self._log[a] + self._log[b]])
@@ -402,8 +380,6 @@ class BinaryField(Field):
     vec_sub = vec_add
 
     def vec_scale(self, s, v):
-        global _MUL_OPS
-        _MUL_OPS += len(v)
         if s == 0:
             return self.vec_zeros(len(v))
         if self.width == 8:
@@ -411,12 +387,10 @@ class BinaryField(Field):
         return np.where(v == 0, 0, self._exp[self._log[v] + self._log[s]])
 
     def vec_combine(self, coeffs, vecs):
-        global _MUL_OPS
         mat = vecs if isinstance(vecs, np.ndarray) else np.stack(vecs)
         if len(coeffs) != mat.shape[0]:
             raise ParameterError("one coefficient per vector required")
         co = np.asarray(coeffs, dtype=np.int64)
-        _MUL_OPS += mat.size
         if self.width == 8:
             prods = self._prod[co[:, None], mat]
         else:

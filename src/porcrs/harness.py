@@ -21,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field, fields, replace
 
-from . import client, field as field_mod, server
+from . import client, server
 from .errors import ParameterError
 from .field import field_from_token
 
@@ -324,6 +324,26 @@ class AppendCost:
         )
 
 
+class _CountingField:
+    """A field that counts the elements its vec_scale and vec_combine
+    multiply, and delegates everything else."""
+
+    def __init__(self, fld):
+        self._fld = fld
+        self.mults = 0
+
+    def __getattr__(self, name):
+        return getattr(self._fld, name)
+
+    def vec_scale(self, s, v):
+        self.mults += len(v)
+        return self._fld.vec_scale(s, v)
+
+    def vec_combine(self, coeffs, vecs):
+        self.mults += len(coeffs) * len(vecs[0])
+        return self._fld.vec_combine(coeffs, vecs)
+
+
 def account_append_cost(config: HarnessConfig) -> AppendCost:
     """Instrument one append at file height ktilde and again at 2*ktilde."""
     fld = field_from_token(config.field_token)
@@ -350,10 +370,11 @@ def account_append_cost(config: HarnessConfig) -> AppendCost:
         row = client.row_blocks_from_payload(meta, rng.randbytes(payload * config.k))
         orders = client.append(sk, meta, row)
         nbytes = sum(o.wire_size(fld) for o in orders)
-        field_mod.reset_mul_count()
+        counting = _CountingField(fld)
         for state, order in zip(servers, orders):
+            state.params.field = counting
             server.apply_append(state, order)
-        return nbytes, field_mod.mul_count()
+        return nbytes, counting.mults
 
     bytes_small, mults_small = one(config.file_rows)
     bytes_large, mults_large = one(2 * config.file_rows)

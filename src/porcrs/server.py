@@ -127,13 +127,13 @@ def apply_append(state: ServerState, order) -> None:
 
     ktilde_new = params.ktilde + 1
     extended = crs.canonical_matrix(params.stilde, ktilde_new, fld)
+    deltas = extended.parity_delta(order.new_block)
     for slot in range(params.stilde):
         cell = state.cells[params.ktilde + slot]
         if cell is None:
             continue  # wiped cell stays wiped; audits will flag it
         block, tag = cell
-        coeff = extended.cauchy_entry(slot, ktilde_new - 1)
-        block = fld.vec_add(block, fld.vec_scale(coeff, order.new_block))
+        block = fld.vec_add(block, deltas[slot])
         tag = fld.vec_add(tag, order.deltas[slot])
         state.cells[params.ktilde + slot] = (block, tag)
     state.cells.insert(params.ktilde, (order.new_block, order.new_tag))

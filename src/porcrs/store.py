@@ -23,8 +23,8 @@ import struct
 
 import numpy as np
 
-from .client import FileMetadata
-from .errors import FormatError, MetaFormatError, ParameterError
+from .client import FileMetadata, SchemeParams, chunks_per_block, validate_params
+from .errors import CapacityError, FormatError, MetaFormatError, ParameterError
 from .field import BinaryField, field_from_token
 from .server import ServerState, ShareParams, store_share
 
@@ -225,7 +225,7 @@ def read_meta(path) -> FileMetadata:
         raise MetaFormatError(str(exc), _line_of(path, "field")) from None
     if parsed["r"] != parsed["ktilde"] + parsed["stilde"]:
         raise MetaFormatError("r is inconsistent with ktilde + stilde")
-    return FileMetadata(
+    meta = FileMetadata(
         fid=fid,
         field=fld,
         n=parsed["n"],
@@ -240,6 +240,35 @@ def read_meta(path) -> FileMetadata:
         eps_p=eps_p,
         window=parsed["window"],
     )
+    _check_meta(meta)
+    return meta
+
+
+def _check_meta(meta: FileMetadata) -> None:
+    """Reject parameters that no outsource, append or repair produces.
+
+    Counter 0 still loads: ``client.append`` refuses such files itself.
+    """
+    fld = meta.field
+    block_size = meta.chunks * fld.payload_size
+    try:
+        validate_params(
+            SchemeParams(fld, meta.n, meta.k, meta.stilde0, meta.eps_q, meta.eps_p,
+                         meta.window, block_size)
+        )
+        chunks = chunks_per_block(fld, block_size)
+    except (ParameterError, CapacityError) as exc:
+        raise MetaFormatError(str(exc)) from None
+    if chunks != meta.chunks or meta.ktilde < 1 or meta.stilde < 0 or meta.ctr < 0:
+        raise MetaFormatError(
+            f"need c = {chunks}, ktilde >= 1, stilde >= 0 and ctr >= 0; got "
+            f"c={meta.chunks} ktilde={meta.ktilde} stilde={meta.stilde} ctr={meta.ctr}"
+        )
+    if not 0 < meta.original_length <= meta.ktilde * meta.k * block_size:
+        raise MetaFormatError(
+            f"original_length {meta.original_length} does not fit "
+            f"{meta.ktilde} rows of {meta.k * block_size} bytes"
+        )
 
 
 def _line_of(path, key) -> int | None:

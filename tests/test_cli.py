@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import porcrs
 from porcrs.cli import main
 
 
@@ -126,6 +127,24 @@ def test_malformed_meta_exit_code(workspace):
     assert audit(root) == 4
 
 
+@pytest.mark.parametrize("key, value", [("n", "0"), ("c", "0"), ("k", "9"), ("ctr", "-1")])
+def test_impossible_meta_exit_code(workspace, key, value):
+    tmp_path, root = workspace
+    keygen_and_outsource(tmp_path, root)
+    lines = [
+        f"{key}={value}" if line.partition("=")[0] == key else line
+        for line in open("file.meta").read().splitlines()
+    ]
+    with open("file.meta", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    row = tmp_path / "row.bin"
+    row.write_bytes(bytes(3 * 7))
+    common = ["--root", str(root), "--meta", "file.meta", "--key", "client.key"]
+    assert audit(root) == 4
+    assert main(["append", *common, str(row)]) == 4
+    assert main(["repair", *common]) == 4
+
+
 def test_missing_meta_exit_code(workspace):
     tmp_path, root = workspace
     assert main(["status", "--root", str(root), "--meta", "missing.meta"]) == 4
@@ -185,9 +204,12 @@ def test_cli_audit_matches_in_process_audit(workspace, capsys):
 
 
 def test_console_entry_point_help():
+    # The child imports porcrs from where this process did, installed or not.
+    src = os.path.dirname(os.path.dirname(porcrs.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "porcrs.cli", "audit", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "--l" in proc.stdout

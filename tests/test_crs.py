@@ -128,13 +128,14 @@ def test_decode_below_rank_is_unrecoverable():
 
 def test_decode_random_erasure_patterns():
     rng = random.Random(2)
-    m = canonical_matrix(6, 9, M61)
-    for _ in range(200):
-        msg = [M61.rand_element(rng) for _ in range(9)]
-        cw = m.encode(msg)
-        for idx in rng.sample(range(15), 6):
-            cw[idx] = None
-        assert m.decode_erasures(cw) == msg
+    for fld in (M61, GF16):
+        m = canonical_matrix(6, 9, fld)
+        for _ in range(200):
+            msg = [fld.rand_element(rng) for _ in range(9)]
+            cw = m.encode(msg)
+            for idx in rng.sample(range(15), 6):
+                cw[idx] = None
+            assert m.decode_erasures(cw) == msg
 
 
 def test_extend_matches_worked_example():
@@ -162,12 +163,12 @@ def test_extend_capacity():
 
 def test_parity_delta_zero_symbol():
     m = build_distribution(EXAMPLE_SETS, Z11).extend(y=10)
-    assert m.parity_delta(0) == [0, 0, 0]
+    assert m.parity_delta((0,)) == [(0,), (0,), (0,)]
 
 
 def test_parity_delta_unit_symbol_is_new_column():
     m = build_distribution(EXAMPLE_SETS, Z11).extend(y=10)
-    assert m.parity_delta(1) == [6, 4, 7]
+    assert m.parity_delta((1,)) == [(6,), (4,), (7,)]
 
 
 def test_parity_delta_matches_reencode():
@@ -178,8 +179,8 @@ def test_parity_delta_matches_reencode():
         old_parity = m0.encode(msg)[6:]
         ext = m0.extend()
         sym = M61.rand_element(rng)
-        delta = ext.parity_delta(sym)
-        patched = [M61.add(p, d) for p, d in zip(old_parity, delta)]
+        delta = ext.parity_delta((sym,))
+        patched = [M61.add(p, d) for p, (d,) in zip(old_parity, delta)]
         assert patched == ext.encode(msg + [sym])[7:]
 
 
@@ -196,7 +197,7 @@ def test_iterated_extension_equals_full_reencode():
             m = m.extend()
             sym = M61.rand_element(rng)
             msg.append(sym)
-            parity = [M61.add(p, d) for p, d in zip(parity, m.parity_delta(sym))]
+            parity = [M61.add(p, d) for p, (d,) in zip(parity, m.parity_delta((sym,)))]
         fresh = canonical_matrix(s, len(msg), M61)
         assert parity == fresh.encode(msg)[len(msg):]
         assert m.cauchy_rows() == fresh.cauchy_rows()

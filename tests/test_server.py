@@ -8,7 +8,7 @@ from porcrs import client, crs
 from porcrs.auth import TagContext, keygen, tag_block, verify_block
 from porcrs.client import ChallengeSet
 from porcrs.errors import OrderRejectedError, ParameterError
-from porcrs.field import prime_field
+from porcrs.field import PrimeField, prime_field
 from porcrs.server import (
     ShareParams,
     apply_append,
@@ -226,3 +226,23 @@ def test_prove_zero_fills_wiped_cells():
     state.cells[2] = None
     mu, sigma = prove(state, ChallengeSet(0, ((3, 5),)))
     assert mu == M61.vec_zeros(1) and sigma == M61.vec_zeros(1)
+
+
+def test_append_makes_one_batch_inversion_per_server(monkeypatch):
+    rng = random.Random(15)
+    sk, meta, servers = build_system(rng, n=15, k=9, stilde=12, rows=20)
+    calls = []
+    inv = PrimeField.inv
+
+    def counted(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    monkeypatch.setattr(PrimeField, "inv", counted)
+    row = client.row_blocks_from_payload(meta, rng.randbytes(9 * 7))
+    orders = client.append(sk, meta, row)
+    client_inversions = len(calls)
+    for state, order in zip(servers, orders):
+        apply_append(state, order)
+    assert len(calls) - client_inversions == 15  # one per server, not per slot
+    assert client_inversions <= meta.s + 1  # s row-code rows, one new column

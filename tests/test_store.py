@@ -192,6 +192,68 @@ def test_meta_duplicate_key_rejected(tmp_path):
         store.read_meta(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n", "0"),
+        ("n", "1"),  # k = 3 > n
+        ("k", "9"),
+        ("c", "0"),
+        ("c", "2"),  # zp carries one chunk per block
+        ("ctr", "-1"),
+        ("stilde0", "-1"),
+        ("window", "0"),
+        ("eps_q", "1.5"),
+        ("original_length", "0"),
+        ("original_length", str(3 * 3 * 7 + 1)),
+    ],
+)
+def test_meta_impossible_parameters_rejected(tmp_path, key, value):
+    rng = random.Random(15)
+    meta, _ = build_states(M61, rng)
+    assert meta.ktilde == 3 and meta.chunks == 1
+    path = tmp_path / "f.meta"
+    store.write_meta(meta, path)
+    lines = [
+        f"{key}={value}" if line.partition("=")[0] == key else line
+        for line in path.read_text().splitlines()
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MetaFormatError):
+        store.read_meta(path)
+
+
+def test_meta_zero_ktilde_rejected(tmp_path):
+    rng = random.Random(16)
+    meta, _ = build_states(M61, rng)
+    meta.ktilde, meta.stilde = 0, meta.r
+    path = tmp_path / "f.meta"
+    store.write_meta(meta, path)
+    with pytest.raises(MetaFormatError, match="ktilde"):
+        store.read_meta(path)
+
+
+def test_meta_binary_chunk_count_checked(tmp_path):
+    rng = random.Random(17)
+    meta, _ = build_states(GF16, rng)  # 64-byte blocks: 32 chunks
+    path = tmp_path / "f.meta"
+    store.write_meta(meta, path)
+    assert store.read_meta(path).chunks == 32
+    meta.chunks = 0
+    store.write_meta(meta, path)
+    with pytest.raises(MetaFormatError):
+        store.read_meta(path)
+
+
+def test_meta_counter_zero_still_loads(tmp_path):
+    rng = random.Random(18)
+    meta, _ = build_states(M61, rng)
+    meta.ctr = 0
+    path = tmp_path / "f.meta"
+    store.write_meta(meta, path)
+    assert store.read_meta(path).ctr == 0
+
+
 def test_share_tree_layout(tmp_path):
     rng = random.Random(14)
     meta, states = build_states(M61, rng)
