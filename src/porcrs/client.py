@@ -195,7 +195,7 @@ def _product_encode(fld: Field, data_rows, n: int, k: int, stilde: int):
     ktilde = len(data_rows)
     col_code = crs.canonical_matrix(stilde, ktilde, fld)
     cols = [col_code.encode_vectors([row[j] for row in data_rows]) for j in range(k)]
-    row_code = crs.canonical_matrix(n - k, k, fld)
+    row_code = crs.row_code(n - k, k, fld)
     return [row_code.encode_vectors([col[i] for col in cols]) for i in range(ktilde + stilde)]
 
 
@@ -308,7 +308,7 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
 
     ktilde_old, ctr_old = meta.ktilde, meta.ctr
     ktilde_new, ctr_new = ktilde_old + 1, ctr_old + 1
-    row_code = crs.canonical_matrix(meta.s, meta.k, fld)
+    row_code = crs.row_code(meta.s, meta.k, fld)
     encoded = row_code.encode_vectors(list(row_blocks))
     col_ext = crs.canonical_matrix(meta.stilde, ktilde_new, fld)
 
@@ -434,7 +434,7 @@ def redistribute(sk: SecretKey, meta: FileMetadata, dumps) -> RedistributeResult
             if auth.verify_block(sk, block, tag, ctx, fld):
                 blocks[i0][j0] = block
 
-    row_code = crs.canonical_matrix(meta.s, k, fld)
+    row_code = crs.row_code(meta.s, k, fld)
     col_code = crs.canonical_matrix(meta.stilde, ktilde, fld) if meta.stilde else None
     # A wiped server erases the same position in every row: one plan per
     # (code, erasure mask) serves them all.

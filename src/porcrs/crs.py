@@ -19,6 +19,7 @@ are accepted for library use and test vectors.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
@@ -313,3 +314,13 @@ def canonical_matrix(s: int, k: int, fld: Field) -> DistributionMatrix:
     """The protocol's matrix: canonical sets for the given shape, in closed
     form, so building it takes time and memory independent of s and k."""
     return DistributionMatrix(_canonical_ranges(s, k, fld), fld)
+
+
+@functools.lru_cache(maxsize=32)
+def row_code(s: int, k: int, fld: Field) -> DistributionMatrix:
+    """The dispersal code across n = k + s servers, built once per shape.
+
+    One matrix serves every outsource, append and repair of that shape, so
+    its Cauchy rows are inverted once; it holds only public coefficients.
+    """
+    return canonical_matrix(s, k, fld)

@@ -8,9 +8,11 @@ Share files are little-endian binary:
 
 Prime-field elements are 8-byte words, binary-field elements w/8-byte
 words.  Tags sit next to their blocks so one challenged row is one
-contiguous read.  Writes go through a temp file and rename, so a share
-file on disk is always complete; any truncation or garbling surfaces as a
-FormatError on read, never as partial state.
+contiguous read.  The body is encoded and decoded as one array of 2rc
+elements, not cell by cell; the bytes on disk are the same either way.
+Writes go through a temp file and rename, so a share file on disk is
+always complete, and a failed write removes its temp file; any truncation
+or garbling surfaces as a FormatError on read, never as partial state.
 
 Client metadata is line-oriented ``key=value`` text with a fixed key set
 and fixed order, so equal states serialize byte-identically.
@@ -18,6 +20,8 @@ and fixed order, so equal states serialize byte-identically.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 import struct
 
@@ -32,22 +36,26 @@ MAGIC = b"CRS1"
 VERSION = 1
 
 
-def _pack_elements(fld, vec) -> bytes:
-    if isinstance(fld, BinaryField):
-        return np.asarray(vec, dtype=np.dtype(fld.dtype).newbyteorder("<")).tobytes()
-    return b"".join(struct.pack("<Q", int(x)) for x in vec)
+def _body_dtype(fld) -> np.dtype:
+    """On-disk element type: little-endian, w/8 bytes (binary) or 8 (prime)."""
+    return np.dtype(fld.dtype if isinstance(fld, BinaryField) else np.uint64).newbyteorder("<")
 
 
-def _unpack_elements(fld, raw: bytes, count: int):
-    if isinstance(fld, BinaryField):
-        return np.frombuffer(raw, dtype=np.dtype(fld.dtype).newbyteorder("<")).astype(
-            fld.dtype
-        )
-    values = struct.unpack(f"<{count}Q", raw)
-    for v in values:
-        if v >= fld.order:
-            raise FormatError(f"stored element {v} outside {fld.token}")
-    return tuple(values)
+def _write_replacing(path, data: bytes) -> None:
+    """Write to a temp file, then rename it over ``path``.
+
+    On any failure the temp file is removed and the error re-raised, so the
+    old file stays as it was and nothing is left beside it.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_share(state: ServerState, path) -> None:
@@ -63,18 +71,14 @@ def write_share(state: ServerState, path) -> None:
         + token
         + struct.pack("<6Q", state.j, p.r, p.ktilde, p.stilde, p.ctr, p.chunks)
     )
-    body = bytearray()
-    for idx, cell in enumerate(state.cells):
-        if cell is None:
-            raise ParameterError(f"cell {idx + 1} is absent; cannot serialize")
-        block, tag = cell
-        body += _pack_elements(fld, block)
-        body += _pack_elements(fld, tag)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
-    os.replace(tmp, path)
+    if None in state.cells:
+        raise ParameterError(f"cell {state.cells.index(None) + 1} is absent; cannot serialize")
+    halves = itertools.chain.from_iterable(state.cells)
+    if isinstance(fld, BinaryField):
+        body = np.concatenate(list(halves)).astype(_body_dtype(fld)).tobytes()
+    else:
+        body = struct.pack(f"<{2 * p.r * p.chunks}Q", *itertools.chain.from_iterable(halves))
+    _write_replacing(path, header + body)
 
 
 class _Reader:
@@ -115,23 +119,24 @@ def read_share(path) -> ServerState:
     )
     if r != ktilde + stilde:
         raise FormatError(f"inconsistent header: r={r} != {ktilde}+{stilde}")
-    if j < 1:
-        raise FormatError("server index must be at least 1")
+    if j < 1 or ktilde < 1:
+        raise FormatError("server index and data row count must be at least 1")
     if chunks < 1:
         raise FormatError("chunk count must be at least 1")
     cell_bytes = 2 * chunks * fld.element_size
-    cells = []
-    for i in range(r):
-        raw = rd.take(cell_bytes, f"cell {i + 1}")
-        half = chunks * fld.element_size
-        try:
-            block = _unpack_elements(fld, raw[:half], chunks)
-            tag = _unpack_elements(fld, raw[half:], chunks)
-        except struct.error as exc:
-            raise FormatError(f"cell {i + 1}: {exc}") from None
-        cells.append((block, tag))
-    if rd.pos != len(data):
-        raise FormatError(f"{len(data) - rd.pos} trailing bytes after body")
+    body_len = len(data) - rd.pos
+    if body_len < r * cell_bytes:
+        raise FormatError(f"share file truncated in cell {body_len // cell_bytes + 1}")
+    if body_len > r * cell_bytes:
+        raise FormatError(f"{body_len - r * cell_bytes} trailing bytes after body")
+    flat = np.frombuffer(data, dtype=_body_dtype(fld), count=2 * r * chunks, offset=rd.pos)
+    if isinstance(fld, BinaryField):
+        halves = iter(flat.astype(fld.dtype).reshape(2 * r, chunks))
+    else:
+        if flat.size and flat.max() >= fld.order:
+            raise FormatError(f"stored element {flat.max()} outside {fld.token}")
+        halves = zip(*[iter(flat.tolist())] * chunks)  # tuples of c ints
+    cells = list(zip(halves, halves))  # consecutive halves: (block, tag)
     params = ShareParams(field=fld, ktilde=ktilde, stilde=stilde, ctr=ctr, chunks=chunks)
     try:
         return store_share(j, fid, cells, params)
@@ -178,10 +183,7 @@ def write_meta(meta: FileMetadata, path) -> None:
         f"window={meta.window}",
         f"stilde0={meta.stilde0}",
     ]
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _write_replacing(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_meta(path) -> FileMetadata:

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import porcrs
+from porcrs import client, store
 from porcrs.cli import main
 
 
@@ -18,14 +19,24 @@ def workspace(tmp_path, monkeypatch):
     return tmp_path, root
 
 
-def keygen_and_outsource(tmp_path, root, data=b"0123456789" * 60, seed=1):
+ZP = "zp:2305843009213693951"
+# (field token, block size): both branches of the share-file codec.
+FIELDS = [
+    pytest.param((ZP, 4096), id="zp"),
+    pytest.param(("gf2:16", 64), id="gf2:16"),
+]
+
+
+def keygen_and_outsource(tmp_path, root, data=b"0123456789" * 60, seed=1, field=(ZP, 4096)):
+    token, block_size = field
     src = tmp_path / "input.bin"
     src.write_bytes(data)
-    assert main(["keygen", "--key", "client.key", "--seed", "7"]) == 0
+    assert main(["keygen", "--key", "client.key", "--seed", "7", "--field", token]) == 0
     rc = main(
         [
             "outsource", "--root", str(root), "--meta", "file.meta",
             "--key", "client.key", "--n", "5", "--k", "3", "--stilde", "2",
+            "--field", token, "--block-size", str(block_size),
             "--seed", str(seed), str(src),
         ]
     )
@@ -51,8 +62,6 @@ def test_outsource_then_audit_passes(workspace, capsys):
 def test_flipped_share_byte_fails_audit_and_names_server(workspace, capsys):
     tmp_path, root = workspace
     keygen_and_outsource(tmp_path, root)
-    from porcrs import store
-
     meta = store.read_meta("file.meta")
     victim = store.share_path(root, 2, meta.fid)
     raw = bytearray(open(victim, "rb").read())
@@ -65,10 +74,11 @@ def test_flipped_share_byte_fails_audit_and_names_server(workspace, capsys):
     assert "failed for servers: 2" in out
 
 
-def test_repair_restores_wiped_servers(workspace, capsys):
+@pytest.mark.parametrize("field", FIELDS)
+def test_repair_restores_wiped_servers(workspace, capsys, field):
     tmp_path, root = workspace
     data = b"A" * 997
-    src = keygen_and_outsource(tmp_path, root, data=data)
+    src = keygen_and_outsource(tmp_path, root, data=data, field=field)
     shutil.rmtree(root / "server_1")
     shutil.rmtree(root / "server_4")  # s = 2 servers gone
     rc = main(
@@ -91,11 +101,13 @@ def test_repair_reports_unavailable(workspace, capsys):
     assert rc == 3
 
 
-def test_append_then_audit_and_status(workspace, capsys):
+@pytest.mark.parametrize("field", FIELDS)
+def test_append_then_audit_and_status(workspace, capsys, field):
     tmp_path, root = workspace
-    keygen_and_outsource(tmp_path, root)
+    keygen_and_outsource(tmp_path, root, field=field)
+    meta = store.read_meta("file.meta")
     row = tmp_path / "row.bin"
-    row.write_bytes(b"B" * (3 * 7))
+    row.write_bytes(b"B" * (meta.k * client.block_payload_size(meta.field, meta.chunks)))
     rc = main(
         ["append", "--root", str(root), "--meta", "file.meta", "--key", "client.key",
          str(row)]
@@ -176,7 +188,7 @@ def test_cli_audit_matches_in_process_audit(workspace, capsys):
     keygen_and_outsource(tmp_path, root)
     import random
 
-    from porcrs import client, server, store
+    from porcrs import server
     from porcrs.auth import read_keyfile
 
     meta = store.read_meta("file.meta")

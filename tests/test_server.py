@@ -246,3 +246,19 @@ def test_append_makes_one_batch_inversion_per_server(monkeypatch):
         apply_append(state, order)
     assert len(calls) - client_inversions == 15  # one per server, not per slot
     assert client_inversions <= meta.s + 1  # s row-code rows, one new column
+
+
+def test_second_append_reuses_the_row_code(monkeypatch):
+    rng = random.Random(16)
+    sk, meta, _ = build_system(rng, n=15, k=9, stilde=12, rows=20)
+    client.append(sk, meta, client.row_blocks_from_payload(meta, rng.randbytes(9 * 7)))
+    calls = []
+    inv = PrimeField.inv
+
+    def counted(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    monkeypatch.setattr(PrimeField, "inv", counted)
+    client.append(sk, meta, client.row_blocks_from_payload(meta, rng.randbytes(9 * 7)))
+    assert len(calls) == 1  # the new column only; the row code is built once

@@ -1,6 +1,10 @@
 """Persistence: bit-exact round trips and strictness under corruption."""
 
+import dataclasses
+import hashlib
+import os
 import random
+import struct
 
 import pytest
 
@@ -10,6 +14,7 @@ from porcrs.errors import FormatError, MetaFormatError
 from porcrs.field import binary_field, prime_field
 
 M61 = prime_field()
+GF8 = binary_field(8)
 GF16 = binary_field(16)
 
 
@@ -23,7 +28,7 @@ def build_states(fld, rng, block_size=64, rows=3):
     return meta, client.make_server_states(meta, shares)
 
 
-@pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
+@pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
 def test_share_round_trip_bit_exact(fld, tmp_path):
     rng = random.Random(0)
     meta, states = build_states(fld, rng)
@@ -89,7 +94,7 @@ def test_share_trailing_garbage(tmp_path):
         store.read_share(path)
 
 
-@pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
+@pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
 def test_share_truncation_fuzz(fld, tmp_path):
     rng = random.Random(5)
     _, states = build_states(fld, rng)
@@ -103,15 +108,75 @@ def test_share_truncation_fuzz(fld, tmp_path):
             store.read_share(path)
 
 
-def test_share_prime_element_out_of_range(tmp_path):
+@pytest.mark.parametrize(
+    "cell, half", [(0, 0), (2, 1), (4, 1)], ids=["first-block", "middle-tag", "last-tag"]
+)
+def test_share_prime_element_out_of_range(tmp_path, cell, half):
     rng = random.Random(6)
+    _, states = build_states(M61, rng)
+    assert states[0].r == 5 and states[0].params.chunks == 1
+    path = tmp_path / "x.share"
+    store.write_share(states[0], path)
+    raw = bytearray(path.read_bytes())
+    off = len(raw) - 5 * 16 + cell * 16 + half * 8  # 5 cells of two 8-byte words
+    raw[off : off + 8] = (M61.order + 5).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="outside"):
+        store.read_share(path)
+
+
+# SHA-256 of the five share files of build_states(fld, random.Random(19)),
+# concatenated in server order: any change to the bytes on disk fails here.
+SHARE_DIGESTS = {
+    M61: "6a3d7c54359aaf29ae5151a889a392ae06e9bcdbcedbcf447e2334fdfeb1c2c0",
+    GF8: "9f47e84d86d3972a032bd82c1afdc18f8c1c90a0c0b04f02bd9ce319085c8272",
+    GF16: "103ef692c2b5eff6cd7ced6df791f7b40c1b86d7020d37cd8ea681fba4bb26f5",
+}
+
+
+@pytest.mark.parametrize("fld", list(SHARE_DIGESTS), ids=lambda f: f.token)
+def test_share_known_answer(fld, tmp_path):
+    _, states = build_states(fld, random.Random(19))
+    digest = hashlib.sha256()
+    for state in states:
+        path = tmp_path / f"{state.j}.share"
+        store.write_share(state, path)
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == SHARE_DIGESTS[fld]
+
+
+def _failing_replace(*args):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("kind", ["share", "meta"])
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, kind):
+    meta, states = build_states(M61, random.Random(20))
+    if kind == "share":
+        write, old, new = store.write_share, states[0], states[1]
+    else:
+        write, old, new = store.write_meta, meta, dataclasses.replace(meta, ctr=meta.ctr + 1)
+    path = tmp_path / "x"
+    write(old, path)
+    before = path.read_bytes()
+    monkeypatch.setattr(os, "replace", _failing_replace)
+    with pytest.raises(OSError, match="No space"):
+        write(new, path)
+    assert os.listdir(tmp_path) == ["x"]
+    assert path.read_bytes() == before
+
+
+def test_share_without_data_rows_rejected(tmp_path):
+    # No outsource makes ktilde = 0; an empty body must not pass as a share.
+    rng = random.Random(21)
     _, states = build_states(M61, rng)
     path = tmp_path / "x.share"
     store.write_share(states[0], path)
     raw = bytearray(path.read_bytes())
-    raw[-8:] = (M61.order + 5).to_bytes(8, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
+    header_end = len(raw) - 5 * 16
+    raw[header_end - 48 : header_end] = struct.pack("<6Q", 1, 0, 0, 0, 1, 1)
+    path.write_bytes(bytes(raw[:header_end]))
+    with pytest.raises(FormatError, match="at least 1"):
         store.read_share(path)
 
 
