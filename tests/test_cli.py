@@ -20,14 +20,12 @@ def workspace(tmp_path, monkeypatch):
 
 
 ZP = "zp:2305843009213693951"
-# (field token, block size): both branches of the share-file codec.
-FIELDS = [
-    pytest.param((ZP, 4096), id="zp"),
-    pytest.param(("gf2:16", 64), id="gf2:16"),
-]
+# (field token, block size): one depot per branch of the share-file codec.
+PRIME = (ZP, 4096)
+BINARY = ("gf2:16", 64)
 
 
-def keygen_and_outsource(tmp_path, root, data=b"0123456789" * 60, seed=1, field=(ZP, 4096)):
+def keygen_and_outsource(tmp_path, root, data=b"0123456789" * 60, seed=1, field=PRIME):
     token, block_size = field
     src = tmp_path / "input.bin"
     src.write_bytes(data)
@@ -74,8 +72,7 @@ def test_flipped_share_byte_fails_audit_and_names_server(workspace, capsys):
     assert "failed for servers: 2" in out
 
 
-@pytest.mark.parametrize("field", FIELDS)
-def test_repair_restores_wiped_servers(workspace, capsys, field):
+def check_repair_restores_wiped_servers(workspace, field):
     tmp_path, root = workspace
     data = b"A" * 997
     src = keygen_and_outsource(tmp_path, root, data=data, field=field)
@@ -90,6 +87,14 @@ def test_repair_restores_wiped_servers(workspace, capsys, field):
     assert audit(root) == 0
 
 
+def test_repair_restores_wiped_servers(workspace):
+    check_repair_restores_wiped_servers(workspace, PRIME)
+
+
+def test_repair_restores_wiped_servers_binary_field(workspace):
+    check_repair_restores_wiped_servers(workspace, BINARY)
+
+
 def test_repair_reports_unavailable(workspace, capsys):
     tmp_path, root = workspace
     keygen_and_outsource(tmp_path, root)
@@ -101,8 +106,7 @@ def test_repair_reports_unavailable(workspace, capsys):
     assert rc == 3
 
 
-@pytest.mark.parametrize("field", FIELDS)
-def test_append_then_audit_and_status(workspace, capsys, field):
+def check_append_then_audit_and_status(workspace, capsys, field):
     tmp_path, root = workspace
     keygen_and_outsource(tmp_path, root, field=field)
     meta = store.read_meta("file.meta")
@@ -117,6 +121,14 @@ def test_append_then_audit_and_status(workspace, capsys, field):
     assert main(["status", "--root", str(root), "--meta", "file.meta"]) == 0
     out = capsys.readouterr().out
     assert "ctr=2" in out
+
+
+def test_append_then_audit_and_status(workspace, capsys):
+    check_append_then_audit_and_status(workspace, capsys, PRIME)
+
+
+def test_append_then_audit_and_status_binary_field(workspace, capsys):
+    check_append_then_audit_and_status(workspace, capsys, BINARY)
 
 
 def test_append_wrong_length_rejected(workspace):
