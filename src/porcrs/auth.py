@@ -10,13 +10,24 @@ the same combinations of blocks, which is what lets servers answer audits
 with aggregates and apply client-supplied tag deltas to self-updated
 parity blocks without ever seeing the key.
 
-The PRF is keyed BLAKE2b: the first 16 bytes of blake2b(key=kprf) over the
+The PRF is keyed BLAKE2b with a 16-byte digest (digest_size=16) over the
 canonical serialization fid || i || j || ctr || u with fid as 16 raw bytes
 and each index as an 8-byte big-endian integer, reduced into the field
 (see Field.element_from_wide_bytes).  This serialization is fixed so
 independently produced artifacts interoperate.  fid and the chunk index u
 take part in the input to domain-separate files under one key and to give
 every chunk its own mask.
+
+One kernel, prf_masks, computes the masks of many cells of one server's
+column: it keys one BLAKE2b state and feeds it fid once per call, and each
+cell then hashes a copy of that state, updated with i || j || ctr || u.
+The bytes hashed are those above, so the masks are unchanged; a batch
+saves the key-block compression and the per-cell set-up.  prf, prf_vector,
+tag_block, tag_delta and verify_block are one-cell wrappers over it, and
+the client calls it once per server for outsource, append and audit.
+
+alpha is never 0: with alpha = 0 a tag is its mask alone, and any block
+would verify.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ import hashlib
 import os
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -64,19 +76,11 @@ class TagContext:
 
 
 def keygen(fld: Field, rng=None) -> SecretKey:
-    """Sample a fresh key; rng is for deterministic tests and simulations."""
+    """Sample a fresh key (alpha nonzero); rng is for deterministic tests
+    and simulations."""
     if rng is None:
-        return SecretKey(fld.rand_element(random.SystemRandom()), os.urandom(32))
-    return SecretKey(fld.rand_element(rng), rng.getrandbits(256).to_bytes(32, "big"))
-
-
-def _prefix(fid: bytes, row: int, server: int, ctr: int) -> bytes:
-    return (
-        fid
-        + row.to_bytes(8, "big")
-        + server.to_bytes(8, "big")
-        + ctr.to_bytes(8, "big")
-    )
+        return SecretKey(fld.rand_nonzero(random.SystemRandom()), os.urandom(32))
+    return SecretKey(fld.rand_nonzero(rng), rng.getrandbits(256).to_bytes(32, "big"))
 
 
 _U8: list[bytes] = []
@@ -88,40 +92,64 @@ def _u8(u: int) -> bytes:
     return _U8[u]
 
 
+def prf_masks(
+    kprf: bytes, fid: bytes, server: int, cells, count: int, fld: Field, *, first: int = 0
+):
+    """PRF mask vectors of many cells of one server's column.
+
+    cells is a list of (row, ctr) pairs; entry t of the result holds the
+    PRF values of chunks first..first+count-1 of cell t, as a chunk vector.
+    One keyed BLAKE2b state absorbs fid once per call, and each cell hashes
+    a copy of it updated with row || server || ctr || u, so the bytes are
+    those of the per-cell definition above.
+    """
+    if len(fid) != 16:
+        raise ParameterError("fid must be exactly 16 bytes")
+    if min(server, count, first) < 0 or (cells and min(chain.from_iterable(cells)) < 0):
+        raise ParameterError("context indices must be nonnegative")
+    base = hashlib.blake2b(fid, key=kprf, digest_size=_DIGEST)
+    sj = server.to_bytes(8, "big")
+    chunks = [_u8(u) for u in range(first, first + count)]
+    out = []
+    if isinstance(fld, BinaryField):
+        for row, ctr in cells:
+            cell = base.copy()
+            cell.update(row.to_bytes(8, "big") + sj + ctr.to_bytes(8, "big"))
+            buf = bytearray(_DIGEST * count)
+            pos = 0
+            for u8 in chunks:
+                h = cell.copy()
+                h.update(u8)
+                buf[pos : pos + _DIGEST] = h.digest()
+                pos += _DIGEST
+            raw = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(count, _DIGEST)
+            if fld.width == 8:
+                out.append(raw[:, 15].copy())
+            else:
+                out.append(raw[:, 14:16].copy().view(">u2").astype(np.uint16).ravel())
+        return out
+    p = fld.order
+    copy = base.copy
+    for row, ctr in cells:
+        msg = row.to_bytes(8, "big") + sj + ctr.to_bytes(8, "big")
+        vec = []
+        for u8 in chunks:
+            h = copy()
+            h.update(msg + u8)
+            vec.append(int.from_bytes(h.digest(), "big") % p)
+        out.append(tuple(vec))
+    return out
+
+
 def prf(kprf: bytes, ctx: TagContext, fld: Field) -> int:
     """One PRF value, reduced into the field."""
-    msg = _prefix(ctx.fid, ctx.row, ctx.server, ctx.ctr) + _u8(ctx.chunk)
-    digest = hashlib.blake2b(msg, key=kprf, digest_size=_DIGEST).digest()
-    return fld.element_from_wide_bytes(digest)
+    cells = [(ctx.row, ctx.ctr)]
+    return int(prf_masks(kprf, ctx.fid, ctx.server, cells, 1, fld, first=ctx.chunk)[0][0])
 
 
 def prf_vector(kprf: bytes, ctx: TagContext, count: int, fld: Field):
-    """PRF values for chunks 0..count-1 of one cell, as a chunk vector.
-
-    Equals [prf(kprf, ctx at chunk u) for u in range(count)]; the shared
-    40-byte input prefix is hashed once and reused per chunk.
-    """
-    base = hashlib.blake2b(key=kprf, digest_size=_DIGEST)
-    base.update(_prefix(ctx.fid, ctx.row, ctx.server, ctx.ctr))
-    if isinstance(fld, BinaryField):
-        buf = bytearray(_DIGEST * count)
-        pos = 0
-        for u in range(count):
-            h = base.copy()
-            h.update(_u8(u))
-            buf[pos : pos + _DIGEST] = h.digest()
-            pos += _DIGEST
-        raw = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(count, _DIGEST)
-        if fld.width == 8:
-            return raw[:, 15].copy()
-        return raw[:, 14:16].copy().view(">u2").astype(np.uint16).ravel()
-    p = fld.order
-    out = []
-    for u in range(count):
-        h = base.copy()
-        h.update(_u8(u))
-        out.append(int.from_bytes(h.digest(), "big") % p)
-    return tuple(out)
+    """PRF values for chunks 0..count-1 of one cell, as a chunk vector."""
+    return prf_masks(kprf, ctx.fid, ctx.server, [(ctx.row, ctx.ctr)], count, fld)[0]
 
 
 # Verification revisits the same (fid, row, server, ctr) cells across
@@ -130,27 +158,48 @@ _PRF_CACHE: dict = {}
 _PRF_CACHE_MAX = 16384
 
 
+def prf_masks_cached(kprf: bytes, fid: bytes, server: int, cells, count: int, fld: Field):
+    """prf_masks through the cache; the misses take one kernel call."""
+    keys = [(kprf, fid, row, server, ctr, count, fld.token) for row, ctr in cells]
+    out = [_PRF_CACHE.get(key) for key in keys]
+    missing = [t for t, vec in enumerate(out) if vec is None]
+    if missing:
+        fresh = prf_masks(kprf, fid, server, [cells[t] for t in missing], count, fld)
+        for t, vec in zip(missing, fresh):
+            if len(_PRF_CACHE) >= _PRF_CACHE_MAX:
+                _PRF_CACHE.clear()
+            if isinstance(vec, np.ndarray):
+                vec.flags.writeable = False
+            _PRF_CACHE[keys[t]] = out[t] = vec
+    return out
+
+
 def prf_vector_cached(kprf: bytes, ctx: TagContext, count: int, fld: Field):
-    key = (kprf, ctx.fid, ctx.row, ctx.server, ctx.ctr, count, fld.token)
-    vec = _PRF_CACHE.get(key)
-    if vec is None:
-        if len(_PRF_CACHE) >= _PRF_CACHE_MAX:
-            _PRF_CACHE.clear()
-        vec = prf_vector(kprf, ctx, count, fld)
-        if isinstance(vec, np.ndarray):
-            vec.flags.writeable = False
-        _PRF_CACHE[key] = vec
-    return vec
+    """prf_vector through the cache."""
+    return prf_masks_cached(kprf, ctx.fid, ctx.server, [(ctx.row, ctx.ctr)], count, fld)[0]
 
 
 def clear_prf_cache() -> None:
     _PRF_CACHE.clear()
 
 
+def tags_from_masks(alpha: int, masks, blocks, fld: Field) -> list:
+    """mask + alpha * block for each cell: the tag formula, cell by cell."""
+    if isinstance(fld, BinaryField):
+        return [
+            fld.vec_add(m, fld.vec_scale(alpha, b)) for m, b in zip(masks, blocks, strict=True)
+        ]
+    p = fld.order
+    return [
+        tuple([(x + alpha * y) % p for x, y in zip(m, b, strict=True)])
+        for m, b in zip(masks, blocks, strict=True)
+    ]
+
+
 def tag_block(sk: SecretKey, block, ctx: TagContext, fld: Field):
     """Tag every chunk of a block at the given position."""
     masks = prf_vector(sk.kprf, ctx, len(block), fld)
-    return fld.vec_add(masks, fld.vec_scale(sk.alpha, block))
+    return tags_from_masks(sk.alpha, [masks], [block], fld)[0]
 
 
 def verify_block(sk: SecretKey, block, tag, ctx: TagContext, fld: Field) -> bool:
@@ -158,7 +207,13 @@ def verify_block(sk: SecretKey, block, tag, ctx: TagContext, fld: Field) -> bool
     if len(block) != len(tag):
         raise ParameterError("block and tag must have the same chunk count")
     masks = prf_vector_cached(sk.kprf, ctx, len(block), fld)
-    return fld.vec_eq(tag, fld.vec_add(masks, fld.vec_scale(sk.alpha, block)))
+    return fld.vec_eq(tag, tags_from_masks(sk.alpha, [masks], [block], fld)[0])
+
+
+def tag_deltas(alpha: int, old_masks, new_masks, delta_blocks, fld: Field) -> list:
+    """(new mask - old mask) + alpha * delta block for each parity slot."""
+    moved = [fld.vec_sub(new, old) for old, new in zip(old_masks, new_masks, strict=True)]
+    return tags_from_masks(alpha, moved, delta_blocks, fld)
 
 
 def tag_delta(
@@ -173,10 +228,9 @@ def tag_delta(
     """
     if ctx_old.fid != ctx_new.fid or ctx_old.server != ctx_new.server:
         raise ParameterError("tag delta must stay within one file and server")
-    c = len(delta_block)
-    old = prf_vector(sk.kprf, ctx_old, c, fld)
-    new = prf_vector(sk.kprf, ctx_new, c, fld)
-    return fld.vec_add(fld.vec_sub(new, old), fld.vec_scale(sk.alpha, delta_block))
+    cells = [(ctx_old.row, ctx_old.ctr), (ctx_new.row, ctx_new.ctr)]
+    old, new = prf_masks(sk.kprf, ctx_old.fid, ctx_old.server, cells, len(delta_block), fld)
+    return tag_deltas(sk.alpha, [old], [new], [delta_block], fld)[0]
 
 
 # -- keyfile persistence -------------------------------------------------
@@ -210,5 +264,6 @@ def read_keyfile(path, fld: Field) -> SecretKey:
         raise FormatError(f"keyfile: {exc}") from None
     if len(kprf) != 32:
         raise FormatError("keyfile: kprf must be 64 hex characters")
-    fld.check_element(alpha)
+    if not 0 < alpha < fld.order:
+        raise FormatError(f"keyfile: alpha must be a nonzero element of {fld.token}")
     return SecretKey(alpha, kprf)

@@ -172,10 +172,15 @@ def block_payload_size(fld: Field, chunks: int) -> int:
     return chunks * fld.payload_size
 
 
+def cell_ctr(ktilde: int, ctr: int, i: int) -> int:
+    """Tag counter of grid row i: data rows stay at counter 0, parity rows
+    take the append counter, which is at least 1."""
+    return 0 if i <= ktilde else ctr
+
+
 def cell_context(fid: bytes, ktilde: int, ctr: int, i: int, j: int) -> TagContext:
-    """Tag context of grid cell (i, j): data rows stay at counter 0, parity
-    rows take the append counter, which is at least 1."""
-    return TagContext(fid, i, j, 0 if i <= ktilde else ctr)
+    """Tag context of grid cell (i, j)."""
+    return TagContext(fid, i, j, cell_ctr(ktilde, ctr, i))
 
 
 def _split_blocks(fld: Field, data: bytes, k: int, chunks: int):
@@ -200,13 +205,14 @@ def _product_encode(fld: Field, data_rows, n: int, k: int, stilde: int):
 
 
 def _tag_grid(sk: SecretKey, fld: Field, fid: bytes, grid, ktilde: int, parity_ctr: int):
-    """Tag every cell; returns per-server cell columns."""
-    n = len(grid[0])
-    shares = [[] for _ in range(n)]
-    for i0, row in enumerate(grid):
-        for j0, block in enumerate(row):
-            ctx = cell_context(fid, ktilde, parity_ctr, i0 + 1, j0 + 1)
-            shares[j0].append((block, auth.tag_block(sk, block, ctx, fld)))
+    """Tag every cell; returns per-server cell columns, one PRF batch each."""
+    cells = [(i, cell_ctr(ktilde, parity_ctr, i)) for i in range(1, len(grid) + 1)]
+    c = len(grid[0][0])
+    shares = []
+    for j0 in range(len(grid[0])):
+        blocks = [row[j0] for row in grid]
+        masks = auth.prf_masks(sk.kprf, fid, j0 + 1, cells, c, fld)
+        shares.append(list(zip(blocks, auth.tags_from_masks(sk.alpha, masks, blocks, fld))))
     return shares
 
 
@@ -312,21 +318,25 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
     encoded = row_code.encode_vectors(list(row_blocks))
     col_ext = crs.canonical_matrix(meta.stilde, ktilde_new, fld)
 
+    # Per server, one PRF batch: the new cell, then each parity slot at its
+    # old and at its new (row, counter).
+    slots = range(1, meta.stilde + 1)
+    cells = [(ktilde_new, 0)]
+    cells += [(ktilde_old + slot, ctr_old) for slot in slots]
+    cells += [(ktilde_new + slot, ctr_new) for slot in slots]
     orders = []
     for j in range(1, meta.n + 1):
         blk = encoded[j - 1]
-        new_tag = auth.tag_block(sk, blk, TagContext(meta.fid, ktilde_new, j, 0), fld)
-        deltas = tuple(
-            auth.tag_delta(
-                sk,
-                TagContext(meta.fid, ktilde_old + slot, j, ctr_old),
-                TagContext(meta.fid, ktilde_new + slot, j, ctr_new),
-                delta_m,
-                fld,
-            )
-            for slot, delta_m in enumerate(col_ext.parity_delta(blk), 1)
+        masks = auth.prf_masks(sk.kprf, meta.fid, j, cells, meta.chunks, fld)
+        new_tag = auth.tags_from_masks(sk.alpha, masks[:1], [blk], fld)[0]
+        deltas = auth.tag_deltas(
+            sk.alpha,
+            masks[1 : 1 + meta.stilde],
+            masks[1 + meta.stilde :],
+            col_ext.parity_delta(blk),
+            fld,
         )
-        orders.append(AppendOrder(meta.fid, j, ctr_new, blk, new_tag, deltas))
+        orders.append(AppendOrder(meta.fid, j, ctr_new, blk, new_tag, tuple(deltas)))
     meta.ktilde, meta.ctr = ktilde_new, ctr_new
     # The zero padding of a partial last row becomes file content.
     meta.original_length = ktilde_new * block_payload_size(fld, meta.chunks) * meta.k
@@ -360,24 +370,21 @@ def verify(sk: SecretKey, meta: FileMetadata, q: ChallengeSet, proof) -> list[bo
         if not 1 <= i <= meta.r:
             raise ParameterError(f"challenged row {i} out of range")
     coeffs = [nu for _, nu in q.entries]
+    cells = [(i, cell_ctr(meta.ktilde, meta.ctr, i)) for i, _ in q.entries]
     verdicts = []
     for j in range(1, meta.n + 1):
-        resp = proof[j - 1]
-        ok = False
-        if resp is not None:
-            mu, sigma = resp
-            if len(mu) == c and len(sigma) == c:
-                masks = [
-                    auth.prf_vector_cached(
-                        sk.kprf, cell_context(meta.fid, meta.ktilde, meta.ctr, i, j), c, fld
-                    )
-                    for i, _ in q.entries
-                ]
-                expected = fld.vec_add(
-                    fld.vec_combine(coeffs, fld.vec_stack(masks)),
-                    fld.vec_scale(sk.alpha, mu),
-                )
-                ok = fld.vec_eq(sigma, expected)
+        try:
+            mu, sigma = proof[j - 1]
+            ok = len(mu) == c and len(sigma) == c
+        except (TypeError, ValueError):
+            ok = False  # missing (None), or not a pair of chunk vectors
+        if ok:
+            masks = auth.prf_masks_cached(sk.kprf, meta.fid, j, cells, c, fld)
+            expected = fld.vec_add(
+                fld.vec_combine(coeffs, fld.vec_stack(masks)),
+                fld.vec_scale(sk.alpha, mu),
+            )
+            ok = fld.vec_eq(sigma, expected)
         verdicts.append(ok)
         meta.history(j).append(ok)
     return verdicts

@@ -241,3 +241,142 @@ def test_context_validation():
         TagContext(FID, -1, 1, 0)
     with pytest.raises(ParameterError):
         SecretKey(1, b"short")
+
+
+# Known-answer vectors of the PRF and the tags, recorded from the
+# per-cell implementation before the batched kernel replaced it.  The key
+# and fid are fixed; the row is above 2^32 and the counter above 0, so every
+# 8-byte index field of the serialization is exercised.
+KAT_KEY = bytes.fromhex("106fe7896a5fd2b57b1eb38b71e95b5e989a45da504dfd1b446514caf3507d8c")
+KAT_FID = bytes.fromhex("14faa1c1b310616ecef1b9c8a2358e34")
+KAT_CTX = TagContext(KAT_FID, (1 << 32) + 7, 5, 3)
+KAT_NEW = TagContext(KAT_FID, (1 << 32) + 8, 5, 4)
+GF8 = binary_field(8)
+
+
+def test_prf_known_answer_prime():
+    assert prf(KAT_KEY, KAT_CTX, M61) == 369254211623769828
+    assert prf(KAT_KEY, TagContext(KAT_FID, (1 << 32) + 7, 5, 3, 2), M61) == 233855555132316693
+    assert prf_vector(KAT_KEY, KAT_CTX, 1, M61) == (369254211623769828,)
+    assert prf_vector(KAT_KEY, KAT_CTX, 3, M61) == (
+        369254211623769828,
+        836265287721019534,
+        233855555132316693,
+    )
+
+
+@pytest.mark.parametrize(
+    "fld, expected",
+    [(GF8, [67, 4, 70, 79]), (GF16, [22339, 25348, 53318, 27215])],
+    ids=["gf2:8", "gf2:16"],
+)
+def test_prf_vector_known_answer_binary(fld, expected):
+    assert fld.vec_to_ints(prf_vector(KAT_KEY, KAT_CTX, 4, fld)) == expected
+
+
+@pytest.mark.parametrize(
+    "fld, alpha, block, delta, tag, moved",
+    [
+        (
+            M61,
+            123456789,
+            (11, 22, 33),
+            (1, 2, 3),
+            [369254212981794507, 836265290437068892, 233855559206390730],
+            [2064287226982885450, 1490376289162804175, 2080860800720043345],
+        ),
+        (
+            GF16,
+            0x1234,
+            [11, 22, 33, 44],
+            [1, 2, 3, 4],
+            [61631, 15607, 42212, 54697],
+            [48030, 43570, 46246, 980],
+        ),
+    ],
+    ids=["zp", "gf2:16"],
+)
+def test_tag_known_answer(fld, alpha, block, delta, tag, moved):
+    sk = SecretKey(alpha, KAT_KEY)
+    block, delta = fld.vec_from_ints(block), fld.vec_from_ints(delta)
+    assert fld.vec_to_ints(tag_block(sk, block, KAT_CTX, fld)) == tag
+    assert fld.vec_to_ints(tag_delta(sk, KAT_CTX, KAT_NEW, delta, fld)) == moved
+
+
+class _FirstDrawZero:
+    """rng whose first getrandbits draw is 0; later draws come from Random."""
+
+    def __init__(self, seed):
+        self.first = True
+        self.rng = random.Random(seed)
+
+    def getrandbits(self, bits):
+        if self.first:
+            self.first = False
+            return 0
+        return self.rng.getrandbits(bits)
+
+
+@pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
+def test_keygen_never_draws_alpha_zero(fld):
+    sk = keygen(fld, _FirstDrawZero(13))
+    assert sk.alpha != 0
+    fld.check_element(sk.alpha)
+
+
+@pytest.mark.parametrize(
+    "fld, alpha",
+    [(GF8, "0"), (GF8, "100"), (M61, "0"), (M61, str(M61.order))],
+    ids=["gf2:8-zero", "gf2:8-too-wide", "zp-zero", "zp-order"],
+)
+def test_keyfile_alpha_outside_field_rejected(tmp_path, fld, alpha):
+    path = tmp_path / "bad.key"
+    path.write_text(f"alpha={alpha}\nkprf={KEY.hex()}\n")
+    with pytest.raises(FormatError, match="alpha"):
+        read_keyfile(path, fld)
+
+
+@pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
+def test_prf_masks_match_per_cell_vectors(fld):
+    rng = random.Random(14)
+    for count in (1, 3):
+        for server in (1, 7):
+            cells = [
+                (rng.randrange(1, 1 << 40), rng.randrange(5)) for _ in range(rng.randrange(1, 30))
+            ]
+            masks = auth.prf_masks(KEY, FID, server, cells, count, fld)
+            assert len(masks) == len(cells)
+            for (row, ctr), vec in zip(cells, masks):
+                one = prf_vector(KEY, TagContext(FID, row, server, ctr), count, fld)
+                assert fld.vec_to_ints(vec) == fld.vec_to_ints(one)
+    assert auth.prf_masks(KEY, FID, 1, [], 4, fld) == []
+
+
+@pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
+def test_prf_masks_cached_matches_kernel(fld):
+    auth.clear_prf_cache()
+    cells = [(3, 0), (9, 2), (4, 1)]
+    first = auth.prf_masks_cached(KEY, FID, 2, cells[:2], 4, fld)
+    both = auth.prf_masks_cached(KEY, FID, 2, cells, 4, fld)
+    fresh = auth.prf_masks(KEY, FID, 2, cells, 4, fld)
+    assert all(a is b for a, b in zip(both, first))  # hits return the cached vectors
+    for got, want in zip(both, fresh):
+        assert fld.vec_eq(got, want)
+        if fld is GF16:
+            assert not got.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "fid, server, cells",
+    [
+        (b"short", 1, [(1, 0)]),
+        (FID + b"x", 1, [(1, 0)]),
+        (FID, -1, [(1, 0)]),
+        (FID, 1, [(1, 0), (-1, 0)]),
+        (FID, 1, [(1, 0), (2, -3)]),
+    ],
+    ids=["short-fid", "long-fid", "negative-server", "negative-row", "negative-ctr"],
+)
+def test_prf_masks_validation(fid, server, cells):
+    with pytest.raises(ParameterError):
+        auth.prf_masks(KEY, fid, server, cells, 1, M61)

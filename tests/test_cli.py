@@ -169,6 +169,17 @@ def test_impossible_meta_exit_code(workspace, key, value):
     assert main(["repair", *common]) == 4
 
 
+@pytest.mark.parametrize("field", [PRIME, BINARY], ids=["zp", "gf2:16"])
+def test_alpha_zero_keyfile_exit_code(workspace, field):
+    # With alpha = 0 every tag is its mask alone and any block would verify.
+    tmp_path, root = workspace
+    keygen_and_outsource(tmp_path, root, field=field)
+    kprf = open("client.key").read().splitlines()[1]
+    with open("client.key", "w") as fh:
+        fh.write(f"alpha=0\n{kprf}\n")
+    assert audit(root) == 4
+
+
 def test_missing_meta_exit_code(workspace):
     tmp_path, root = workspace
     assert main(["status", "--root", str(root), "--meta", "missing.meta"]) == 4

@@ -17,7 +17,7 @@ from porcrs.client import (
     verify,
 )
 from porcrs.errors import CapacityError, ParameterError
-from porcrs.field import prime_field
+from porcrs.field import binary_field, prime_field
 
 M61 = prime_field()
 P = M61.order
@@ -511,3 +511,47 @@ def test_redistribute_builds_one_plan_per_erasure_mask(monkeypatch):
     assert result is not None and result.data == data
     row_mask = tuple(j0 != 2 for j0 in range(meta.n))
     assert masks == [row_mask]
+
+
+def test_verify_malformed_response_fails_only_that_server():
+    rng = random.Random(25)
+    sk, params = setup(M61, 5, 3, 2, rng=rng)
+    meta, shares = outsource(sk, params, rng.randbytes(3 * 3 * 7), rng=rng)
+    servers = client.make_server_states(meta, shares)
+    q = challenge(meta, 3, rng)
+    proof = [server.prove(s, q) for s in servers]
+    mu, sigma = proof[1]
+    proof[1] = (mu,)  # does not unpack into (mu, sigma)
+    proof[2] = (mu, sigma, sigma)
+    proof[3] = 7
+    verdicts = verify(sk, meta, q, proof)
+    assert verdicts == [True, False, False, False, True]
+    assert [list(meta.history(j)) for j in range(1, 6)] == [[v] for v in verdicts]
+
+
+@pytest.mark.parametrize("token", ["zp", "gf2:16"])
+def test_append_orders_match_per_cell_tags(token):
+    fld = M61 if token == "zp" else binary_field(16)
+    rng = random.Random(26)
+    sk, params = setup(fld, 6, 4, 3, block_size=8, rng=rng)
+    meta, _ = outsource(sk, params, rng.randbytes(50), rng=rng)
+    for _ in range(2):
+        ktilde_old, ctr_old = meta.ktilde, meta.ctr
+        payload = client.block_payload_size(fld, meta.chunks) * meta.k
+        row = client.row_blocks_from_payload(meta, rng.randbytes(payload))
+        orders = client.append(sk, meta, row)
+        col_ext = crs.canonical_matrix(meta.stilde, meta.ktilde, fld)
+        for j, order in enumerate(orders, 1):
+            blk = order.new_block
+            tag = auth.tag_block(sk, blk, auth.TagContext(meta.fid, meta.ktilde, j, 0), fld)
+            assert fld.vec_eq(order.new_tag, tag)
+            assert len(order.deltas) == meta.stilde
+            for slot, (delta, dm) in enumerate(zip(order.deltas, col_ext.parity_delta(blk)), 1):
+                want = auth.tag_delta(
+                    sk,
+                    auth.TagContext(meta.fid, ktilde_old + slot, j, ctr_old),
+                    auth.TagContext(meta.fid, meta.ktilde + slot, j, meta.ctr),
+                    dm,
+                    fld,
+                )
+                assert fld.vec_eq(delta, want)
