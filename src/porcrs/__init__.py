@@ -35,6 +35,6 @@ from .errors import (
     UnrecoverableError,
 )
 from .field import BinaryField, Field, PrimeField, binary_field, field_from_token, prime_field
-from .server import ServerState, ShareParams, apply_append, dump_all, prove, read_block, store_share
+from .server import ServerState, apply_append, dump_all, prove, read_block, store_share
 
 __all__ = [name for name in dir() if not name.startswith("_")]

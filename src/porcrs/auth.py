@@ -12,8 +12,9 @@ parity blocks without ever seeing the key.
 
 The PRF is keyed BLAKE2b with a 16-byte digest (digest_size=16) over the
 canonical serialization fid || i || j || ctr || u with fid as 16 raw bytes
-and each index as an 8-byte big-endian integer, reduced into the field
-(see Field.element_from_wide_bytes).  This serialization is fixed so
+and each index as an 8-byte big-endian integer.  The 16 digest bytes, read
+as a big-endian integer, are reduced into the field: mod p in a prime
+field, the low w bits in GF(2^w).  This serialization is fixed so
 independently produced artifacts interoperate.  fid and the chunk index u
 take part in the input to domain-separate files under one key and to give
 every chunk its own mask.

@@ -96,22 +96,39 @@ def cmd_outsource(args) -> int:
     return 0
 
 
+def _holds_order(state, order) -> bool:
+    """True when the share already took this very order: its counter is the
+    order's target and its newest data row is the order's cell."""
+    if state.ctr != order.target_ctr:
+        return False
+    fld = state.field
+    block, tag = state.cells[state.ktilde - 1]
+    return fld.vec_eq(block, order.new_block) and fld.vec_eq(tag, order.new_tag)
+
+
 def cmd_append(args) -> int:
     meta, sk = _load_meta_key(args)
     with open(args.file, "rb") as fh:
         payload = fh.read()
     row = client.row_blocks_from_payload(meta, payload)
+    paths = [store.share_path(args.root, j, meta.fid) for j in range(1, meta.n + 1)]
+    for j, path in enumerate(paths, 1):
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"share file of server {j} is missing: {path}")
     orders = client.append(sk, meta, row)
-    for order in orders:
-        path = store.share_path(args.root, order.server, meta.fid)
+    # One share at a time: decoded shares kept alive slow the cyclic GC.
+    for order, path in zip(orders, paths):
         state = store.read_share(path)
+        if _holds_order(state, order):
+            print(f"server {order.server}: already applied")
+            continue
         try:
             apply_append(state, order)
         except OrderRejectedError as exc:
-            if state.ctr >= order.target_ctr:
-                print(f"server {order.server}: already applied ({exc})")
-                continue
-            raise
+            raise OrderRejectedError(
+                f"server {order.server}: {exc}; re-run append with the row that was "
+                "interrupted, or repair"
+            ) from None
         store.write_share(state, path)
     store.write_meta(meta, args.meta)
     print(f"appended row {meta.ktilde}; ctr={meta.ctr}")

@@ -31,7 +31,7 @@ from . import auth, crs
 from .auth import SecretKey, TagContext
 from .errors import CapacityError, ParameterError
 from .field import Field
-from .server import ServerState, ShareParams
+from .server import ServerState, store_share
 
 
 @dataclass
@@ -257,21 +257,12 @@ def outsource(
     return meta, shares
 
 
-def share_params(meta: FileMetadata) -> ShareParams:
-    return ShareParams(
-        field=meta.field,
-        ktilde=meta.ktilde,
-        stilde=meta.stilde,
-        ctr=meta.ctr,
-        chunks=meta.chunks,
-    )
-
-
 def make_server_states(meta: FileMetadata, shares) -> list[ServerState]:
-    from .server import store_share
-
     return [
-        store_share(j + 1, meta.fid, cells, share_params(meta))
+        store_share(
+            j + 1, meta.fid, cells, field=meta.field, ktilde=meta.ktilde,
+            stilde=meta.stilde, ctr=meta.ctr, chunks=meta.chunks,
+        )
         for j, cells in enumerate(shares)
     ]
 
@@ -375,9 +366,11 @@ def verify(sk: SecretKey, meta: FileMetadata, q: ChallengeSet, proof) -> list[bo
     for j in range(1, meta.n + 1):
         try:
             mu, sigma = proof[j - 1]
-            ok = len(mu) == c and len(sigma) == c
         except (TypeError, ValueError):
-            ok = False  # missing (None), or not a pair of chunk vectors
+            mu = sigma = None  # missing (None), or not a pair
+        # Anything but two vectors of c field elements fails this server only.
+        mu, sigma = fld.as_vector(mu, c), fld.as_vector(sigma, c)
+        ok = mu is not None and sigma is not None
         if ok:
             masks = auth.prf_masks_cached(sk.kprf, meta.fid, j, cells, c, fld)
             expected = fld.vec_add(

@@ -107,14 +107,6 @@ class Field:
         """Inverses of all values; ZeroDivisionError if any is zero."""
         raise NotImplementedError
 
-    def element_from_wide_bytes(self, data: bytes) -> int:
-        """Reduce a 16-byte big-endian string into the field.
-
-        Prime kind: residue of the 128-bit integer mod p (bias under
-        2^-66 per residue).  Binary kind: the low w bits.
-        """
-        raise NotImplementedError
-
     def rand_element(self, rng) -> int:
         """Uniform element; rng needs a getrandbits method."""
         raise NotImplementedError
@@ -148,6 +140,13 @@ class Field:
         return list(vecs)
 
     def vec_eq(self, u, v) -> bool:
+        raise NotImplementedError
+
+    def as_vector(self, v, c: int):
+        """v as a vector of c field elements, or None if it is not one.
+
+        Screens vectors that arrive from outside, such as audit responses.
+        """
         raise NotImplementedError
 
     def vec_from_ints(self, values):
@@ -220,11 +219,6 @@ class PrimeField(Field):
             acc = acc * values[t] % p
         return out
 
-    def element_from_wide_bytes(self, data):
-        if len(data) != 16:
-            raise ParameterError("wide-bytes reduction expects exactly 16 bytes")
-        return int.from_bytes(data, "big") % self.modulus
-
     def rand_element(self, rng):
         bits = self.modulus.bit_length()
         while True:
@@ -264,6 +258,14 @@ class PrimeField(Field):
 
     def vec_eq(self, u, v):
         return tuple(u) == tuple(v)
+
+    def as_vector(self, v, c):
+        p = self.modulus
+        try:
+            ok = len(v) == c and all(isinstance(a, int) and 0 <= a < p for a in v)
+        except TypeError:
+            return None
+        return tuple(v) if ok else None
 
     def vec_from_ints(self, values):
         return tuple(self.check_element(int(x)) for x in values)
@@ -361,11 +363,6 @@ class BinaryField(Field):
             raise ZeroDivisionError(f"no inverse of 0 in {self.token}")
         return self._inv[idx].tolist()
 
-    def element_from_wide_bytes(self, data):
-        if len(data) != 16:
-            raise ParameterError("wide-bytes reduction expects exactly 16 bytes")
-        return int.from_bytes(data, "big") & (self.order - 1)
-
     def rand_element(self, rng):
         return rng.getrandbits(self.width)
 
@@ -406,6 +403,18 @@ class BinaryField(Field):
 
     def vec_eq(self, u, v):
         return len(u) == len(v) and bool(np.array_equal(u, v))
+
+    def as_vector(self, v, c):
+        try:
+            a = np.asarray(v)
+        except (TypeError, ValueError):
+            return None
+        if a.shape != (c,) or a.dtype.kind not in "iu":
+            return None
+        # The field's own dtype holds nothing but elements.
+        if a.dtype != self.dtype and not (a.min() >= 0 and a.max() < self.order):
+            return None
+        return a.astype(self.dtype, copy=False)
 
     def vec_from_ints(self, values):
         arr = np.array([self.check_element(int(x)) for x in values], dtype=self.dtype)

@@ -120,7 +120,7 @@ class TamperAdversary(Adversary):
             fld = state.field
             r = len(state.cells)
             count = max(1, math.floor(self.fraction * r))
-            bump = fld.vec_from_ints([1] + [0] * (state.params.chunks - 1))
+            bump = fld.vec_from_ints([1] + [0] * (state.chunks - 1))
             for i0 in rng.sample(range(r), min(count, r)):
                 cell = state.cells[i0]
                 if cell is None:
@@ -138,7 +138,7 @@ class RollbackAdversary(Adversary):
 
     def before_appends(self, servers, rng):
         self._snapshots = [
-            (state.ktilde, [state.cells[state.ktilde + t] for t in range(state.params.stilde)])
+            (state.ktilde, [state.cells[state.ktilde + t] for t in range(state.stilde)])
             for state in servers
         ]
 
@@ -372,7 +372,7 @@ def account_append_cost(config: HarnessConfig) -> AppendCost:
         nbytes = sum(o.wire_size(fld) for o in orders)
         counting = _CountingField(fld)
         for state, order in zip(servers, orders):
-            state.params.field = counting
+            state.field = counting
             server.apply_append(state, order)
         return nbytes, counting.mults
 

@@ -10,7 +10,7 @@ as opaque deltas from the client.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from . import crs
 from .errors import CapacityError, OrderRejectedError, ParameterError
@@ -18,59 +18,38 @@ from .field import Field
 
 
 @dataclass
-class ShareParams:
-    """Column-shape parameters a share is stored under."""
+class ServerState:
+    """One server's share of one file: its column of the grid and the
+    column-code shape it is stored under."""
 
+    j: int
+    fid: bytes
     field: Field
     ktilde: int
     stilde: int
     ctr: int
     chunks: int  # chunks per block
+    cells: list = dc_field(default_factory=list)  # (block, tag) or None if wiped
 
     @property
     def r(self) -> int:
         return self.ktilde + self.stilde
 
 
-@dataclass
-class ServerState:
-    """One server's share of one file."""
-
-    j: int
-    fid: bytes
-    params: ShareParams
-    cells: list = dc_field(default_factory=list)  # (block, tag) or None if wiped
-
-    @property
-    def field(self) -> Field:
-        return self.params.field
-
-    @property
-    def r(self) -> int:
-        return self.params.r
-
-    @property
-    def ktilde(self) -> int:
-        return self.params.ktilde
-
-    @property
-    def ctr(self) -> int:
-        return self.params.ctr
-
-
-def store_share(j: int, fid: bytes, cells: list, params: ShareParams) -> ServerState:
+def store_share(
+    j: int, fid: bytes, cells: list, *, field: Field, ktilde: int, stilde: int,
+    ctr: int, chunks: int,
+) -> ServerState:
     """Initialize (or wholesale replace) a server's share."""
-    if len(cells) != params.r:
-        raise ParameterError(
-            f"{len(cells)} cells do not match r = {params.ktilde} + {params.stilde}"
-        )
+    if len(cells) != ktilde + stilde:
+        raise ParameterError(f"{len(cells)} cells do not match r = {ktilde} + {stilde}")
     for cell in cells:
         if cell is None:
             continue
         block, tag = cell
-        if len(block) != params.chunks or len(tag) != params.chunks:
+        if len(block) != chunks or len(tag) != chunks:
             raise ParameterError("cell chunk count does not match share parameters")
-    return ServerState(j=j, fid=fid, params=params, cells=list(cells))
+    return ServerState(j, fid, field, ktilde, stilde, ctr, chunks, list(cells))
 
 
 def prove(state: ServerState, challenge) -> tuple:
@@ -81,12 +60,13 @@ def prove(state: ServerState, challenge) -> tuple:
     verification.
     """
     fld = state.field
-    c = state.params.chunks
+    c = state.chunks
+    r = state.r
     coeffs, blocks, tags = [], [], []
     zeros = None
     for i, nu in challenge.entries:
-        if not 1 <= i <= state.r:
-            raise ParameterError(f"challenged row {i} out of range 1..{state.r}")
+        if not 1 <= i <= r:
+            raise ParameterError(f"challenged row {i} out of range 1..{r}")
         cell = state.cells[i - 1]
         if cell is None:
             if zeros is None:
@@ -106,39 +86,38 @@ def apply_append(state: ServerState, order) -> None:
     The order's target counter must be exactly one past the local counter,
     giving at-most-once semantics under replays and reordering.
     """
-    params = state.params
     fld = state.field
     if order.fid != state.fid:
         raise OrderRejectedError("append order is for a different file")
     if order.server != state.j:
         raise OrderRejectedError("append order addressed to a different server")
-    if order.target_ctr != params.ctr + 1:
+    if order.target_ctr != state.ctr + 1:
         raise OrderRejectedError(
-            f"append order targets ctr {order.target_ctr}, local ctr is {params.ctr}"
+            f"append order targets ctr {order.target_ctr}, local ctr is {state.ctr}"
         )
-    if len(order.deltas) != params.stilde:
+    if len(order.deltas) != state.stilde:
         raise OrderRejectedError(
-            f"{len(order.deltas)} tag deltas for {params.stilde} parity slots"
+            f"{len(order.deltas)} tag deltas for {state.stilde} parity slots"
         )
-    if len(order.new_block) != params.chunks or len(order.new_tag) != params.chunks:
+    if len(order.new_block) != state.chunks or len(order.new_tag) != state.chunks:
         raise OrderRejectedError("new cell chunk count does not match share")
-    if params.r + 1 > fld.order:
+    if state.r + 1 > fld.order:
         raise CapacityError("append would exceed field order")
 
-    ktilde_new = params.ktilde + 1
-    extended = crs.canonical_matrix(params.stilde, ktilde_new, fld)
+    ktilde_new = state.ktilde + 1
+    extended = crs.canonical_matrix(state.stilde, ktilde_new, fld)
     deltas = extended.parity_delta(order.new_block)
-    for slot in range(params.stilde):
-        cell = state.cells[params.ktilde + slot]
+    for slot in range(state.stilde):
+        cell = state.cells[state.ktilde + slot]
         if cell is None:
             continue  # wiped cell stays wiped; audits will flag it
         block, tag = cell
         block = fld.vec_add(block, deltas[slot])
         tag = fld.vec_add(tag, order.deltas[slot])
-        state.cells[params.ktilde + slot] = (block, tag)
-    state.cells.insert(params.ktilde, (order.new_block, order.new_tag))
-    params.ktilde = ktilde_new
-    params.ctr += 1
+        state.cells[state.ktilde + slot] = (block, tag)
+    state.cells.insert(state.ktilde, (order.new_block, order.new_tag))
+    state.ktilde = ktilde_new
+    state.ctr += 1
 
 
 def read_block(state: ServerState, i: int) -> tuple:
@@ -153,15 +132,4 @@ def read_block(state: ServerState, i: int) -> tuple:
 
 def dump_all(state: ServerState) -> ServerState:
     """Snapshot of the whole share for client-side reconstruction."""
-    return ServerState(
-        j=state.j,
-        fid=state.fid,
-        params=ShareParams(
-            field=state.field,
-            ktilde=state.params.ktilde,
-            stilde=state.params.stilde,
-            ctr=state.params.ctr,
-            chunks=state.params.chunks,
-        ),
-        cells=list(state.cells),
-    )
+    return replace(state, cells=list(state.cells))

@@ -30,7 +30,7 @@ import numpy as np
 from .client import FileMetadata, SchemeParams, chunks_per_block, validate_params
 from .errors import CapacityError, FormatError, MetaFormatError, ParameterError
 from .field import BinaryField, field_from_token
-from .server import ServerState, ShareParams, store_share
+from .server import ServerState
 
 MAGIC = b"CRS1"
 VERSION = 1
@@ -60,8 +60,7 @@ def _write_replacing(path, data: bytes) -> None:
 
 def write_share(state: ServerState, path) -> None:
     """Serialize a share; replace-on-write so readers never see partials."""
-    p = state.params
-    fld = p.field
+    fld = state.field
     token = fld.token.encode("ascii")
     header = (
         MAGIC
@@ -69,7 +68,9 @@ def write_share(state: ServerState, path) -> None:
         + state.fid
         + struct.pack("<H", len(token))
         + token
-        + struct.pack("<6Q", state.j, p.r, p.ktilde, p.stilde, p.ctr, p.chunks)
+        + struct.pack(
+            "<6Q", state.j, state.r, state.ktilde, state.stilde, state.ctr, state.chunks
+        )
     )
     if None in state.cells:
         raise ParameterError(f"cell {state.cells.index(None) + 1} is absent; cannot serialize")
@@ -77,7 +78,9 @@ def write_share(state: ServerState, path) -> None:
     if isinstance(fld, BinaryField):
         body = np.concatenate(list(halves)).astype(_body_dtype(fld)).tobytes()
     else:
-        body = struct.pack(f"<{2 * p.r * p.chunks}Q", *itertools.chain.from_iterable(halves))
+        body = struct.pack(
+            f"<{2 * state.r * state.chunks}Q", *itertools.chain.from_iterable(halves)
+        )
     _write_replacing(path, header + body)
 
 
@@ -137,11 +140,7 @@ def read_share(path) -> ServerState:
             raise FormatError(f"stored element {flat.max()} outside {fld.token}")
         halves = zip(*[iter(flat.tolist())] * chunks)  # tuples of c ints
     cells = list(zip(halves, halves))  # consecutive halves: (block, tag)
-    params = ShareParams(field=fld, ktilde=ktilde, stilde=stilde, ctr=ctr, chunks=chunks)
-    try:
-        return store_share(j, fid, cells, params)
-    except ParameterError as exc:
-        raise FormatError(str(exc)) from None
+    return ServerState(j, fid, fld, ktilde, stilde, ctr, chunks, cells)
 
 
 # -- client metadata -----------------------------------------------------

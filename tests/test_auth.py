@@ -1,5 +1,6 @@
 """Tag scheme: PRF separation, round trips, deltas, counter binding."""
 
+import hashlib
 import os
 import random
 import stat
@@ -350,6 +351,26 @@ def test_prf_masks_match_per_cell_vectors(fld):
                 one = prf_vector(KEY, TagContext(FID, row, server, ctr), count, fld)
                 assert fld.vec_to_ints(vec) == fld.vec_to_ints(one)
     assert auth.prf_masks(KEY, FID, 1, [], 4, fld) == []
+
+
+@pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
+def test_prf_masks_match_per_cell_blake2b(fld):
+    # The PRF's definition, one cell and one chunk at a time: keyed BLAKE2b
+    # with a 16-byte digest over fid || row || server || ctr || u, read as a
+    # big-endian integer and reduced mod p, or to its low w bits.
+    rng = random.Random(15)
+    key, fid = rng.randbytes(32), rng.randbytes(16)
+    server, count = rng.randrange(1, 100), 3
+    cells = [(rng.randrange(1, 1 << 40), rng.randrange(5)) for _ in range(40)]
+    masks = auth.prf_masks(key, fid, server, cells, count, fld)
+    for (row, ctr), vec in zip(cells, masks):
+        want = []
+        for u in range(count):
+            msg = b"".join(x.to_bytes(8, "big") for x in (row, server, ctr, u))
+            digest = hashlib.blake2b(fid + msg, key=key, digest_size=16).digest()
+            value = int.from_bytes(digest, "big")
+            want.append(value % fld.order if fld.kind == "prime" else value & (fld.order - 1))
+        assert fld.vec_to_ints(vec) == want
 
 
 @pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)

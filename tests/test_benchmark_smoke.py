@@ -1,0 +1,31 @@
+"""The benchmark command, run once per trace mode on its smallest workload.
+
+The benchmark's result is the last line of its standard output; a run whose
+last line is not a JSON result counts as no result at all.  depot-zp covers
+the command-line path and the traced repair checks in a few seconds.
+"""
+
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_benchmark_ends_with_a_correct_result(trace):
+    proc = subprocess.run(
+        [*BENCHMARK["command"], "--workload", "depot-zp", "--seed", "1",
+         "--seconds", "0", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    if trace == 0:
+        wanted = {metric["name"] for metric in BENCHMARK["end_to_end"]}
+        assert wanted <= set(result["metrics"])

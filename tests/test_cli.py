@@ -143,6 +143,75 @@ def test_append_wrong_length_rejected(workspace):
     assert rc == 6
 
 
+def append_file(root, row):
+    return main(
+        ["append", "--root", str(root), "--meta", "file.meta", "--key", "client.key",
+         str(row)]
+    )
+
+
+def depot_bytes(tmp_path):
+    """Every file of the workspace (shares, metadata, key), by path."""
+    return {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+
+def write_rows(tmp_path, *fills):
+    meta = store.read_meta("file.meta")
+    size = meta.k * client.block_payload_size(meta.field, meta.chunks)
+    rows = []
+    for fill in fills:
+        rows.append(tmp_path / f"row_{fill.decode()}.bin")
+        rows[-1].write_bytes(fill * size)
+    return rows
+
+
+@pytest.mark.parametrize("field", [PRIME, BINARY], ids=["zp", "gf2:16"])
+def test_interrupted_append_resumes_only_with_its_row(workspace, monkeypatch, field):
+    tmp_path, root = workspace
+    keygen_and_outsource(tmp_path, root, field=field)
+    row_a, row_b = write_rows(tmp_path, b"A", b"B")
+    write_share = store.write_share
+    written = []
+
+    def fail_after_two(state, path):
+        if len(written) == 2:
+            raise OSError("device gone")
+        write_share(state, path)
+        written.append(path)
+
+    monkeypatch.setattr(store, "write_share", fail_after_two)
+    assert append_file(root, row_a) == 4
+    monkeypatch.setattr(store, "write_share", write_share)
+    assert len(written) == 2
+
+    # Servers 1 and 2 hold row A at the new counter: row B must not be
+    # counted as applied there and go on to the other servers.
+    before = depot_bytes(tmp_path)
+    assert append_file(root, row_b) == 8
+    assert depot_bytes(tmp_path) == before
+
+    assert append_file(root, row_a) == 0
+    meta = store.read_meta("file.meta")
+    assert audit(root, extra=["--l", str(meta.r)]) == 0
+    assert main(
+        ["repair", "--root", str(root), "--meta", "file.meta", "--key", "client.key",
+         "--out", "restored.bin"]
+    ) == 0
+    assert open("restored.bin", "rb").read().endswith(row_a.read_bytes())
+
+
+@pytest.mark.parametrize("field", [PRIME, BINARY], ids=["zp", "gf2:16"])
+def test_append_with_missing_share_writes_nothing(workspace, field):
+    tmp_path, root = workspace
+    keygen_and_outsource(tmp_path, root, field=field)
+    (row,) = write_rows(tmp_path, b"A")
+    meta = store.read_meta("file.meta")
+    os.remove(store.share_path(root, meta.n, meta.fid))
+    before = depot_bytes(tmp_path)
+    assert append_file(root, row) == 4
+    assert depot_bytes(tmp_path) == before
+
+
 def test_malformed_meta_exit_code(workspace):
     tmp_path, root = workspace
     keygen_and_outsource(tmp_path, root)

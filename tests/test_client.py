@@ -530,6 +530,27 @@ def test_verify_malformed_response_fails_only_that_server():
 
 
 @pytest.mark.parametrize("token", ["zp", "gf2:16"])
+def test_verify_non_field_elements_fail_only_that_server(token):
+    fld = M61 if token == "zp" else binary_field(16)
+    rng = random.Random(27)
+    sk, params = setup(fld, 9, 3, 2, block_size=4, rng=rng)
+    meta, shares = outsource(sk, params, rng.randbytes(3 * 3 * 7), rng=rng)
+    servers = client.make_server_states(meta, shares)
+    q = challenge(meta, 3, rng)
+    proof = [server.prove(s, q) for s in servers]
+    c = meta.chunks
+    for j0, bad in enumerate([("x",) * c, (0.5,) * c, (b"\x01",) * c, (-1,) * c,
+                              (fld.order,) * c], 1):
+        proof[j0] = (bad, proof[j0][1])
+    proof[6] = (proof[6][0], ("x",) * c)
+    mu, sigma = proof[7]
+    proof[7] = (fld.vec_to_ints(mu), fld.vec_to_ints(sigma))  # plain ints still pass
+    verdicts = verify(sk, meta, q, proof)
+    assert verdicts == [True] + [False] * 6 + [True, True]
+    assert [list(meta.history(j)) for j in range(1, 10)] == [[v] for v in verdicts]
+
+
+@pytest.mark.parametrize("token", ["zp", "gf2:16"])
 def test_append_orders_match_per_cell_tags(token):
     fld = M61 if token == "zp" else binary_field(16)
     rng = random.Random(26)

@@ -142,24 +142,6 @@ def test_binary_add_is_xor():
             assert fld.sub(a, b) == a ^ b
 
 
-def test_element_from_wide_bytes():
-    assert M61.element_from_wide_bytes(b"\x00" * 16) == 0
-    assert M61.element_from_wide_bytes(MERSENNE61.to_bytes(16, "big")) == 0
-    assert GF8.element_from_wide_bytes((0x0102).to_bytes(16, "big")) == 0x02
-    assert GF16.element_from_wide_bytes((0x30102).to_bytes(16, "big")) == 0x0102
-    with pytest.raises(ParameterError):
-        M61.element_from_wide_bytes(b"\x00" * 15)
-
-
-def test_wide_bytes_matches_big_integer_reduction():
-    rng = random.Random(8)
-    for _ in range(200):
-        raw = rng.getrandbits(128).to_bytes(16, "big")
-        n = int.from_bytes(raw, "big")
-        assert M61.element_from_wide_bytes(raw) == n % MERSENNE61
-        assert GF16.element_from_wide_bytes(raw) == n & 0xFFFF
-
-
 def test_tokens_round_trip():
     for fld in (Z11, GF8, GF16, M61):
         assert field_from_token(fld.token) is fld

@@ -10,7 +10,6 @@ from porcrs.client import ChallengeSet
 from porcrs.errors import OrderRejectedError, ParameterError
 from porcrs.field import PrimeField, prime_field
 from porcrs.server import (
-    ShareParams,
     apply_append,
     dump_all,
     prove,
@@ -32,22 +31,20 @@ def build_system(rng, n=5, k=3, stilde=2, rows=4):
 
 def test_store_share_shapes():
     cells = [((1,), (2,))] * 5
-    params = ShareParams(field=M61, ktilde=3, stilde=2, ctr=0, chunks=1)
-    state = store_share(1, FID, cells, params)
+    state = store_share(1, FID, cells, field=M61, ktilde=3, stilde=2, ctr=0, chunks=1)
     assert state.r == 5 and len(state.cells) == 5
 
 
 def test_store_share_rejects_inconsistent_params():
     cells = [((1,), (2,))] * 5
-    params = ShareParams(field=M61, ktilde=3, stilde=3, ctr=0, chunks=1)
     with pytest.raises(ParameterError):
-        store_share(1, FID, cells, params)
+        store_share(1, FID, cells, field=M61, ktilde=3, stilde=3, ctr=0, chunks=1)
 
 
 def test_store_share_replaces_wholesale():
-    params = ShareParams(field=M61, ktilde=1, stilde=0, ctr=0, chunks=1)
-    first = store_share(1, FID, [((1,), (2,))], params)
-    again = store_share(1, FID, [((3,), (4,))], params)
+    params = dict(field=M61, ktilde=1, stilde=0, ctr=0, chunks=1)
+    first = store_share(1, FID, [((1,), (2,))], **params)
+    again = store_share(1, FID, [((3,), (4,))], **params)
     assert again.cells == [((3,), (4,))]
     assert first.cells == [((1,), (2,))]
 
@@ -64,8 +61,7 @@ def test_prove_singleton_returns_cell():
 
 def test_prove_toy_aggregate():
     cells = [((4,), (0,)), ((5,), (0,))]
-    params = ShareParams(field=Z11, ktilde=2, stilde=0, ctr=0, chunks=1)
-    state = store_share(1, FID, cells, params)
+    state = store_share(1, FID, cells, field=Z11, ktilde=2, stilde=0, ctr=0, chunks=1)
     mu, _ = prove(state, ChallengeSet(0, ((1, 2), (2, 3))))
     assert mu == (1,)  # (2*4 + 3*5) mod 11
 

@@ -38,10 +38,10 @@ def test_share_round_trip_bit_exact(fld, tmp_path):
         loaded = store.read_share(path)
         assert loaded.j == state.j
         assert loaded.fid == state.fid
-        assert loaded.params.ktilde == state.params.ktilde
-        assert loaded.params.stilde == state.params.stilde
-        assert loaded.params.ctr == state.params.ctr
-        assert loaded.params.chunks == state.params.chunks
+        assert loaded.ktilde == state.ktilde
+        assert loaded.stilde == state.stilde
+        assert loaded.ctr == state.ctr
+        assert loaded.chunks == state.chunks
         assert loaded.field is state.field
         for a, b in zip(loaded.cells, state.cells):
             assert fld.vec_eq(a[0], b[0]) and fld.vec_eq(a[1], b[1])
@@ -111,7 +111,7 @@ def test_share_truncation_fuzz(fld, tmp_path):
 def check_prime_element_out_of_range(tmp_path, cell, half):
     rng = random.Random(6)
     _, states = build_states(M61, rng)
-    assert states[0].r == 5 and states[0].params.chunks == 1
+    assert states[0].r == 5 and states[0].chunks == 1
     path = tmp_path / "x.share"
     store.write_share(states[0], path)
     raw = bytearray(path.read_bytes())
