@@ -106,15 +106,32 @@ def _holds_order(state, order) -> bool:
     return fld.vec_eq(block, order.new_block) and fld.vec_eq(tag, order.new_tag)
 
 
+def _mismatch(state, allowed: dict) -> str:
+    """The fields of a share header outside their allowed values, or ''."""
+    def show(value):
+        return value.hex() if isinstance(value, bytes) else str(value)
+
+    return ", ".join(
+        f"{name}={show(getattr(state, name))} (want {' or '.join(map(show, want))})"
+        for name, want in allowed.items() if getattr(state, name) not in want
+    )
+
+
 def cmd_append(args) -> int:
     meta, sk = _load_meta_key(args)
     with open(args.file, "rb") as fh:
         payload = fh.read()
     row = client.row_blocks_from_payload(meta, payload)
     paths = [store.share_path(args.root, j, meta.fid) for j in range(1, meta.n + 1)]
+    # Every share must parse and belong here before any server takes the row.
     for j, path in enumerate(paths, 1):
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"share file of server {j} is missing: {path}")
+        try:
+            head = store.read_share_header(path)
+        except FormatError as exc:
+            raise FormatError(f"server {j}: {exc}") from None
+        wrong = _mismatch(head, {"j": (j,), "fid": (meta.fid,), "ctr": (meta.ctr, meta.ctr + 1)})
+        if wrong:
+            raise OrderRejectedError(f"server {j}: share has {wrong}; repair first")
     orders = client.append(sk, meta, row)
     # One share at a time: decoded shares kept alive slow the cyclic GC.
     for order, path in zip(orders, paths):
@@ -194,7 +211,9 @@ def cmd_status(args) -> int:
         else:
             try:
                 state = store.read_share(path)
-                line = f"ok (r={state.r}, ctr={state.ctr})"
+                want = {"j": (j,), "fid": (meta.fid,), "r": (meta.r,), "ctr": (meta.ctr,)}
+                wrong = _mismatch(state, want)
+                line = f"mismatch: {wrong}" if wrong else f"ok (r={state.r}, ctr={state.ctr})"
             except FormatError as exc:
                 line = f"malformed: {exc}"
         print(f"server {j}: {line}")

@@ -19,6 +19,9 @@ mutated, so field objects are safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
+import struct
+
 import numpy as np
 
 from .errors import FieldMismatchError, ParameterError
@@ -162,6 +165,15 @@ class Field:
     def chunks_to_payload(self, v) -> bytes:
         raise NotImplementedError
 
+    def vectors_to_bytes(self, vecs) -> bytes:
+        """Stored form of vectors: each element little-endian in element_size bytes."""
+        raise NotImplementedError
+
+    def vectors_from_bytes(self, data, offset: int, count: int, c: int):
+        """Iterator over count vectors of c elements stored at data[offset:]
+        by vectors_to_bytes; FieldMismatchError if a word is not an element."""
+        raise NotImplementedError
+
 
 class PrimeField(Field):
     """Z_p for an odd prime p < 2^62; vectors are tuples of ints."""
@@ -293,6 +305,16 @@ class PrimeField(Field):
             out += x.to_bytes(g, "little")
         return bytes(out)
 
+    def vectors_to_bytes(self, vecs):
+        flat = list(itertools.chain.from_iterable(vecs))
+        return struct.pack(f"<{len(flat)}Q", *flat)
+
+    def vectors_from_bytes(self, data, offset, count, c):
+        flat = np.frombuffer(data, dtype="<u8", count=count * c, offset=offset)
+        if flat.size and flat.max() >= self.modulus:
+            raise FieldMismatchError(f"stored element {flat.max()} outside {self.token}")
+        return zip(*[iter(flat.tolist())] * c)  # tuples of c ints
+
 
 class BinaryField(Field):
     """GF(2^w) for w in {8, 16}; vectors are numpy arrays.
@@ -314,6 +336,7 @@ class BinaryField(Field):
         self.element_size = w // 8
         self.payload_size = w // 8
         self.dtype = _DTYPE[w]
+        self._stored_dtype = np.dtype(self.dtype).newbyteorder("<")
         self._build_tables()
 
     def _build_tables(self):
@@ -425,12 +448,20 @@ class BinaryField(Field):
             raise ParameterError(
                 f"payload length must be a multiple of {self.payload_size}"
             )
-        return np.frombuffer(data, dtype=np.dtype(self.dtype).newbyteorder("<")).astype(
-            self.dtype
-        )
+        return np.frombuffer(data, dtype=self._stored_dtype).astype(self.dtype)
 
     def chunks_to_payload(self, v):
-        return np.asarray(v, dtype=np.dtype(self.dtype).newbyteorder("<")).tobytes()
+        return np.asarray(v, dtype=self._stored_dtype).tobytes()
+
+    def vectors_to_bytes(self, vecs):
+        vecs = list(vecs)
+        if not vecs:
+            return b""
+        return np.concatenate(vecs).astype(self._stored_dtype, copy=False).tobytes()
+
+    def vectors_from_bytes(self, data, offset, count, c):
+        flat = np.frombuffer(data, dtype=self._stored_dtype, count=count * c, offset=offset)
+        return iter(flat.astype(self.dtype).reshape(count, c))  # rows of a writeable copy
 
 
 _FIELDS: dict[str, Field] = {}

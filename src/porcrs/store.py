@@ -6,39 +6,39 @@ Share files are little-endian binary:
     | j u64 | r u64 | ktilde u64 | stilde u64 | ctr u64 | c u64
     | r cells, each c block elements then c tag elements
 
-Prime-field elements are 8-byte words, binary-field elements w/8-byte
-words.  Tags sit next to their blocks so one challenged row is one
-contiguous read.  The body is encoded and decoded as one array of 2rc
-elements, not cell by cell; the bytes on disk are the same either way.
-Writes go through a temp file and rename, so a share file on disk is
-always complete, and a failed write removes its temp file; any truncation
-or garbling surfaces as a FormatError on read, never as partial state.
+This module owns the header: ``write_share`` packs it with ``_PREFIX`` and
+``_SHAPE``, and ``_read_header`` alone parses it, for ``read_share`` and
+``read_share_header``.  ``Field`` owns the element encoding of the body
+(8-byte words in Z_p, w/8-byte words in GF(2^w)), which is encoded and
+decoded as one array of 2rc elements.  Tags sit next to their blocks so one
+challenged row is one contiguous read.  Writes go through a temp file and
+rename, so a share file on disk is always complete, and a failed write
+removes its temp file; any truncation or garbling surfaces as a
+FormatError on read, never as partial state.
 
-Client metadata is line-oriented ``key=value`` text with a fixed key set
-and fixed order, so equal states serialize byte-identically.
+Client metadata is line-oriented ``key=value`` text; the table ``_META``
+fixes its keys, their order and their syntax, so equal states serialize
+byte-identically.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 import os
 import struct
 
-import numpy as np
-
 from .client import FileMetadata, SchemeParams, chunks_per_block, validate_params
-from .errors import CapacityError, FormatError, MetaFormatError, ParameterError
-from .field import BinaryField, field_from_token
+from .errors import CapacityError, FieldMismatchError, FormatError, MetaFormatError, ParameterError
+from .field import field_from_token
 from .server import ServerState
 
 MAGIC = b"CRS1"
 VERSION = 1
 
-
-def _body_dtype(fld) -> np.dtype:
-    """On-disk element type: little-endian, w/8 bytes (binary) or 8 (prime)."""
-    return np.dtype(fld.dtype if isinstance(fld, BinaryField) else np.uint64).newbyteorder("<")
+_PREFIX = struct.Struct("<4sH16sH")  # magic, version, fid, token length
+_SHAPE = struct.Struct("<6Q")  # j, r, ktilde, stilde, ctr, c
 
 
 def _write_replacing(path, data: bytes) -> None:
@@ -62,64 +62,41 @@ def write_share(state: ServerState, path) -> None:
     """Serialize a share; replace-on-write so readers never see partials."""
     fld = state.field
     token = fld.token.encode("ascii")
-    header = (
-        MAGIC
-        + struct.pack("<H", VERSION)
-        + state.fid
-        + struct.pack("<H", len(token))
-        + token
-        + struct.pack(
-            "<6Q", state.j, state.r, state.ktilde, state.stilde, state.ctr, state.chunks
-        )
-    )
     if None in state.cells:
         raise ParameterError(f"cell {state.cells.index(None) + 1} is absent; cannot serialize")
-    halves = itertools.chain.from_iterable(state.cells)
-    if isinstance(fld, BinaryField):
-        body = np.concatenate(list(halves)).astype(_body_dtype(fld)).tobytes()
-    else:
-        body = struct.pack(
-            f"<{2 * state.r * state.chunks}Q", *itertools.chain.from_iterable(halves)
-        )
+    body = fld.vectors_to_bytes(itertools.chain.from_iterable(state.cells))
+    if len(body) != 2 * state.r * state.chunks * fld.element_size:
+        raise ParameterError("cells do not match the share's r and chunk count")
+    header = (
+        _PREFIX.pack(MAGIC, VERSION, state.fid, len(token))
+        + token
+        + _SHAPE.pack(state.j, state.r, state.ktilde, state.stilde, state.ctr, state.chunks)
+    )
     _write_replacing(path, header + body)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int, what: str) -> bytes:
-        if self.pos + count > len(self.data):
-            raise FormatError(f"share file truncated in {what}")
-        out = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-
-def read_share(path) -> ServerState:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    rd = _Reader(data)
-    if rd.take(4, "magic") != MAGIC:
+def _read_header(fh) -> ServerState:
+    """Parse the header at the start of ``fh`` and check that the rest of the
+    file is exactly r cells.  Returns the share with no cells, and leaves
+    ``fh`` at the start of the body."""
+    raw = fh.read(_PREFIX.size)
+    if len(raw) < _PREFIX.size:
+        raise FormatError("share file truncated in header")
+    magic, version, fid, token_len = _PREFIX.unpack(raw)
+    if magic != MAGIC:
         raise FormatError("bad magic; not a share file")
-    (version,) = struct.unpack("<H", rd.take(2, "version"))
     if version != VERSION:
         raise FormatError(f"unsupported share version {version}")
-    fid = rd.take(16, "file id")
-    (token_len,) = struct.unpack("<H", rd.take(2, "field token length"))
-    raw_token = rd.take(token_len, "field token")
+    raw = fh.read(token_len + _SHAPE.size)
+    if len(raw) < token_len + _SHAPE.size:
+        raise FormatError("share file truncated in header")
     try:
-        token = raw_token.decode("ascii")
+        fld = field_from_token(raw[:token_len].decode("ascii"))
     except UnicodeDecodeError:
         raise FormatError("field token is not ascii") from None
-    try:
-        fld = field_from_token(token)
     except ParameterError as exc:
         raise FormatError(f"bad field token: {exc}") from None
-    j, r, ktilde, stilde, ctr, chunks = struct.unpack(
-        "<6Q", rd.take(48, "share parameters")
-    )
+    j, r, ktilde, stilde, ctr, chunks = _SHAPE.unpack_from(raw, token_len)
     if r != ktilde + stilde:
         raise FormatError(f"inconsistent header: r={r} != {ktilde}+{stilde}")
     if j < 1 or ktilde < 1:
@@ -127,66 +104,73 @@ def read_share(path) -> ServerState:
     if chunks < 1:
         raise FormatError("chunk count must be at least 1")
     cell_bytes = 2 * chunks * fld.element_size
-    body_len = len(data) - rd.pos
+    body_len = os.fstat(fh.fileno()).st_size - fh.tell()
     if body_len < r * cell_bytes:
         raise FormatError(f"share file truncated in cell {body_len // cell_bytes + 1}")
     if body_len > r * cell_bytes:
         raise FormatError(f"{body_len - r * cell_bytes} trailing bytes after body")
-    flat = np.frombuffer(data, dtype=_body_dtype(fld), count=2 * r * chunks, offset=rd.pos)
-    if isinstance(fld, BinaryField):
-        halves = iter(flat.astype(fld.dtype).reshape(2 * r, chunks))
-    else:
-        if flat.size and flat.max() >= fld.order:
-            raise FormatError(f"stored element {flat.max()} outside {fld.token}")
-        halves = zip(*[iter(flat.tolist())] * chunks)  # tuples of c ints
-    cells = list(zip(halves, halves))  # consecutive halves: (block, tag)
-    return ServerState(j, fid, fld, ktilde, stilde, ctr, chunks, cells)
+    return ServerState(j, fid, fld, ktilde, stilde, ctr, chunks, [])
+
+
+def read_share_header(path) -> ServerState:
+    """The share at ``path`` with its cells left unread (an empty list).
+
+    Runs every check of ``read_share`` except the range of body elements.
+    """
+    with open(path, "rb") as fh:
+        return _read_header(fh)
+
+
+def read_share(path) -> ServerState:
+    with open(path, "rb") as fh:
+        state = _read_header(fh)
+        body = fh.read()
+    try:
+        halves = state.field.vectors_from_bytes(body, 0, 2 * state.r, state.chunks)
+    except FieldMismatchError as exc:
+        raise FormatError(str(exc)) from None
+    state.cells = list(zip(halves, halves))  # consecutive halves: (block, tag)
+    return state
 
 
 # -- client metadata -----------------------------------------------------
 
-_META_KEYS = (
-    "fid",
-    "field",
-    "n",
-    "k",
-    "stilde",
-    "ktilde",
-    "r",
-    "ctr",
-    "c",
-    "original_length",
-    "eps_q",
-    "eps_p",
-    "window",
-    "stilde0",
-)
-_INT_KEYS = {"n", "k", "stilde", "ktilde", "r", "ctr", "c", "original_length",
-             "window", "stilde0"}
+def _parse_fid(text: str) -> bytes:
+    fid = bytes.fromhex(text)
+    if len(fid) != 16:
+        raise ValueError("need 32 hex characters")
+    return fid
+
+
+# key -> (FileMetadata attribute, parse, format), in file order.  "r" is
+# written from meta.r and on read only checked against ktilde + stilde.
+_META = {
+    "fid": ("fid", _parse_fid, bytes.hex),
+    "field": ("field", field_from_token, operator.attrgetter("token")),
+    "n": ("n", int, str),
+    "k": ("k", int, str),
+    "stilde": ("stilde", int, str),
+    "ktilde": ("ktilde", int, str),
+    "r": ("r", int, str),
+    "ctr": ("ctr", int, str),
+    "c": ("chunks", int, str),
+    "original_length": ("original_length", int, str),
+    "eps_q": ("eps_q", float, repr),
+    "eps_p": ("eps_p", float, repr),
+    "window": ("window", int, str),
+    "stilde0": ("stilde0", int, str),
+}
 
 
 def write_meta(meta: FileMetadata, path) -> None:
-    lines = [
-        f"fid={meta.fid.hex()}",
-        f"field={meta.field.token}",
-        f"n={meta.n}",
-        f"k={meta.k}",
-        f"stilde={meta.stilde}",
-        f"ktilde={meta.ktilde}",
-        f"r={meta.r}",
-        f"ctr={meta.ctr}",
-        f"c={meta.chunks}",
-        f"original_length={meta.original_length}",
-        f"eps_q={meta.eps_q!r}",
-        f"eps_p={meta.eps_p!r}",
-        f"window={meta.window}",
-        f"stilde0={meta.stilde0}",
-    ]
-    _write_replacing(path, ("\n".join(lines) + "\n").encode("ascii"))
+    text = "".join(
+        f"{key}={fmt(getattr(meta, attr))}\n" for key, (attr, _, fmt) in _META.items()
+    )
+    _write_replacing(path, text.encode("ascii"))
 
 
 def read_meta(path) -> FileMetadata:
-    values: dict[str, str] = {}
+    found: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -195,52 +179,24 @@ def read_meta(path) -> FileMetadata:
             key, sep, value = line.partition("=")
             if not sep:
                 raise MetaFormatError(f"expected key=value, got {line!r}", lineno)
-            if key not in _META_KEYS:
+            if key not in _META:
                 raise MetaFormatError(f"unknown key {key!r}", lineno)
-            if key in values:
+            if key in found:
                 raise MetaFormatError(f"duplicate key {key!r}", lineno)
-            values[key] = value
-    missing = [k for k in _META_KEYS if k not in values]
+            found[key] = (value, lineno)
+    missing = [key for key in _META if key not in found]
     if missing:
         raise MetaFormatError(f"missing keys: {', '.join(missing)}")
-
-    def parse(key, conv):
+    fields = {}
+    for key, (attr, parse, _) in _META.items():
+        value, lineno = found[key]
         try:
-            return conv(values[key])
-        except ValueError:
-            line = _line_of(path, key)
-            raise MetaFormatError(f"bad value for {key}: {values[key]!r}", line) from None
-
-    parsed = {k: parse(k, int) for k in _INT_KEYS}
-    eps_q = parse("eps_q", float)
-    eps_p = parse("eps_p", float)
-    try:
-        fid = bytes.fromhex(values["fid"])
-    except ValueError:
-        raise MetaFormatError("fid must be hex", _line_of(path, "fid")) from None
-    if len(fid) != 16:
-        raise MetaFormatError("fid must be 32 hex characters", _line_of(path, "fid"))
-    try:
-        fld = field_from_token(values["field"])
-    except ParameterError as exc:
-        raise MetaFormatError(str(exc), _line_of(path, "field")) from None
-    if parsed["r"] != parsed["ktilde"] + parsed["stilde"]:
+            fields[attr] = parse(value)
+        except (ValueError, ParameterError) as exc:
+            raise MetaFormatError(f"bad value for {key}: {exc}", lineno) from None
+    if fields.pop("r") != fields["ktilde"] + fields["stilde"]:
         raise MetaFormatError("r is inconsistent with ktilde + stilde")
-    meta = FileMetadata(
-        fid=fid,
-        field=fld,
-        n=parsed["n"],
-        k=parsed["k"],
-        ktilde=parsed["ktilde"],
-        stilde=parsed["stilde"],
-        stilde0=parsed["stilde0"],
-        ctr=parsed["ctr"],
-        chunks=parsed["c"],
-        original_length=parsed["original_length"],
-        eps_q=eps_q,
-        eps_p=eps_p,
-        window=parsed["window"],
-    )
+    meta = FileMetadata(**fields)
     _check_meta(meta)
     return meta
 
@@ -270,17 +226,6 @@ def _check_meta(meta: FileMetadata) -> None:
             f"original_length {meta.original_length} does not fit "
             f"{meta.ktilde} rows of {meta.k * block_size} bytes"
         )
-
-
-def _line_of(path, key) -> int | None:
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if line.strip().startswith(f"{key}="):
-                    return lineno
-    except OSError:
-        pass
-    return None
 
 
 # -- CLI directory layout -------------------------------------------------

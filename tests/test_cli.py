@@ -212,6 +212,57 @@ def test_append_with_missing_share_writes_nothing(workspace, field):
     assert depot_bytes(tmp_path) == before
 
 
+def damage_share(root, meta, damage):
+    """Damage the share of server n - 1, so that n - 2 servers come before it."""
+    victim = store.share_path(root, meta.n - 1, meta.fid)
+    raw = open(victim, "rb").read()
+    if damage == "magic":
+        raw = bytes([raw[0] ^ 0x01]) + raw[1:]
+    elif damage == "cut":
+        raw = raw[:-1]
+    else:  # another server's share in its place
+        raw = open(store.share_path(root, meta.n, meta.fid), "rb").read()
+    open(victim, "wb").write(raw)
+
+
+@pytest.mark.parametrize("field", [PRIME, BINARY], ids=["zp", "gf2:16"])
+@pytest.mark.parametrize("damage, code", [("magic", 4), ("cut", 4), ("other-server", 8)])
+def test_append_with_damaged_share_writes_nothing(workspace, field, damage, code):
+    tmp_path, root = workspace
+    keygen_and_outsource(tmp_path, root, field=field)
+    (row,) = write_rows(tmp_path, b"A")
+    meta = store.read_meta("file.meta")
+    damage_share(root, meta, damage)
+    before = depot_bytes(tmp_path)
+    assert append_file(root, row) == code
+    assert depot_bytes(tmp_path) == before
+
+
+def test_status_names_mismatched_share_fields(workspace, capsys):
+    tmp_path, root = workspace
+    keygen_and_outsource(tmp_path, root)
+    meta = store.read_meta("file.meta")
+    own = open(store.share_path(root, 4, meta.fid), "rb").read()
+    damage_share(root, meta, "other-server")
+    status = ["status", "--root", str(root), "--meta", "file.meta"]
+    assert main(status) == 0
+    out = capsys.readouterr().out
+    assert "server 4: mismatch: j=5 (want 4)\n" in out
+    assert f"server 5: ok (r={meta.r}, ctr=1)" in out
+
+    # A share left behind by an append: its r and counter are stale.
+    open(store.share_path(root, 4, meta.fid), "wb").write(own)
+    stale = open(store.share_path(root, 1, meta.fid), "rb").read()
+    (row,) = write_rows(tmp_path, b"A")
+    assert append_file(root, row) == 0
+    open(store.share_path(root, 1, meta.fid), "wb").write(stale)
+    assert main(status) == 0
+    out = capsys.readouterr().out
+    new = store.read_meta("file.meta")
+    assert f"server 1: mismatch: r={meta.r} (want {new.r}), ctr=1 (want 2)\n" in out
+    assert f"server 2: ok (r={new.r}, ctr=2)" in out
+
+
 def test_malformed_meta_exit_code(workspace):
     tmp_path, root = workspace
     keygen_and_outsource(tmp_path, root)

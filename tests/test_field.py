@@ -220,3 +220,28 @@ def test_payload_round_trip():
         GF16.chunks_from_payload(b"\x00" * 3)
     with pytest.raises(ParameterError):
         Z11.chunks_from_payload(b"ab")  # toy modulus carries no payload
+
+
+@pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
+def test_stored_vectors_round_trip(fld):
+    rng = random.Random(12)
+    for count, c in ((0, 3), (1, 1), (6, 4)):
+        vecs = [fld.vec_from_ints([fld.rand_element(rng) for _ in range(c)])
+                for _ in range(count)]
+        data = fld.vectors_to_bytes(vecs)
+        assert len(data) == count * c * fld.element_size
+        # Each element little-endian in element_size bytes, in order.
+        assert data == b"".join(int(x).to_bytes(fld.element_size, "little")
+                                for v in vecs for x in v)
+        got = list(fld.vectors_from_bytes(b"pad" + data, 3, count, c))
+        assert len(got) == count
+        assert all(fld.vec_eq(a, b) for a, b in zip(got, vecs))
+        if fld is not M61:
+            for v in got:
+                assert v.dtype == fld.dtype and v.flags.writeable
+
+
+def test_stored_prime_word_out_of_range():
+    data = M61.vectors_to_bytes([(1, 2)]) + M61.order.to_bytes(8, "little")
+    with pytest.raises(FieldMismatchError, match="outside"):
+        M61.vectors_from_bytes(data, 0, 3, 1)

@@ -10,7 +10,7 @@ import pytest
 
 from porcrs import client, store
 from porcrs.client import outsource, setup
-from porcrs.errors import FormatError, MetaFormatError
+from porcrs.errors import FormatError, MetaFormatError, ParameterError
 from porcrs.field import binary_field, prime_field
 
 M61 = prime_field()
@@ -151,6 +151,21 @@ def test_share_known_answer(fld, tmp_path):
     assert digest.hexdigest() == SHARE_DIGESTS[fld]
 
 
+# SHA-256 of the write_meta text of build_states(fld, random.Random(19)).
+META_DIGESTS = {
+    M61: "cb1f64431772f5ac8292a6123c23488d5b4ba33c806cb28530b3c523d88a6ebe",
+    GF16: "8ecf6d579d432a95547d21739f9b23b785608f7e067c9fe3b386fba95ccd0c21",
+}
+
+
+@pytest.mark.parametrize("fld", list(META_DIGESTS), ids=lambda f: f.token)
+def test_meta_known_answer(fld, tmp_path):
+    meta, _ = build_states(fld, random.Random(19))
+    path = tmp_path / "f.meta"
+    store.write_meta(meta, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == META_DIGESTS[fld]
+
+
 def _failing_replace(*args):
     raise OSError(28, "No space left on device")
 
@@ -194,6 +209,16 @@ def test_share_cannot_serialize_wiped_cells(tmp_path):
         store.write_share(states[0], tmp_path / "x.share")
 
 
+@pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
+def test_share_cannot_serialize_misshapen_cells(fld, tmp_path):
+    _, states = build_states(fld, random.Random(7))
+    block, tag = states[0].cells[0]
+    states[0].cells[0] = (block[:-1], tag)
+    with pytest.raises(ParameterError, match="chunk count"):
+        store.write_share(states[0], tmp_path / "x.share")
+    assert os.listdir(tmp_path) == []
+
+
 def test_meta_round_trip(tmp_path):
     rng = random.Random(8)
     meta, _ = build_states(M61, rng)
@@ -230,6 +255,20 @@ def test_meta_bad_int_reports_line(tmp_path):
     text = path.read_text().replace(f"ctr={meta.ctr}", "ctr=abc")
     path.write_text(text)
     with pytest.raises(MetaFormatError, match="line 8"):
+        store.read_meta(path)
+
+
+@pytest.mark.parametrize("key, value, line", [("fid", "zz" * 16, 1), ("field", "zp:10", 2)])
+def test_meta_bad_fid_or_field_reports_line(tmp_path, key, value, line):
+    meta, _ = build_states(M61, random.Random(10))
+    path = tmp_path / "f.meta"
+    store.write_meta(meta, path)
+    lines = [
+        f"{key}={value}" if text.partition("=")[0] == key else text
+        for text in path.read_text().splitlines()
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MetaFormatError, match=f"^line {line}: "):
         store.read_meta(path)
 
 
