@@ -14,6 +14,7 @@ order, 1 unexpected error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import random
 import sys
@@ -117,36 +118,54 @@ def _mismatch(state, allowed: dict) -> str:
     )
 
 
+def _stage(order, path) -> bool:
+    """Read and check one server's share, apply its order and write the
+    result to the share's staged path; False when the share already took
+    the order.  The decoded share is dropped on return: decoded shares kept
+    alive slow the cyclic GC."""
+    j = order.server
+    try:
+        state = store.read_share(path)
+    except FormatError as exc:
+        raise FormatError(f"server {j}: {exc}") from None
+    # The order targets the file's counter + 1, which an interrupted append
+    # may have left on this share already.
+    wrong = _mismatch(
+        state, {"j": (j,), "fid": (order.fid,), "ctr": (order.target_ctr - 1, order.target_ctr)}
+    )
+    if wrong:
+        raise OrderRejectedError(f"server {j}: share has {wrong}; repair first")
+    if _holds_order(state, order):
+        print(f"server {j}: already applied")
+        return False
+    try:
+        apply_append(state, order)
+    except OrderRejectedError as exc:
+        raise OrderRejectedError(
+            f"server {j}: {exc}; re-run append with the row that was "
+            "interrupted, or repair"
+        ) from None
+    store.write_share(state, store.staged_path(path))
+    return True
+
+
 def cmd_append(args) -> int:
     meta, sk = _load_meta_key(args)
     with open(args.file, "rb") as fh:
         payload = fh.read()
     row = client.row_blocks_from_payload(meta, payload)
-    paths = [store.share_path(args.root, j, meta.fid) for j in range(1, meta.n + 1)]
-    # Every share must parse and belong here before any server takes the row.
-    for j, path in enumerate(paths, 1):
-        try:
-            head = store.read_share_header(path)
-        except FormatError as exc:
-            raise FormatError(f"server {j}: {exc}") from None
-        wrong = _mismatch(head, {"j": (j,), "fid": (meta.fid,), "ctr": (meta.ctr, meta.ctr + 1)})
-        if wrong:
-            raise OrderRejectedError(f"server {j}: share has {wrong}; repair first")
     orders = client.append(sk, meta, row)
-    # One share at a time: decoded shares kept alive slow the cyclic GC.
-    for order, path in zip(orders, paths):
-        state = store.read_share(path)
-        if _holds_order(state, order):
-            print(f"server {order.server}: already applied")
-            continue
-        try:
-            apply_append(state, order)
-        except OrderRejectedError as exc:
-            raise OrderRejectedError(
-                f"server {order.server}: {exc}; re-run append with the row that was "
-                "interrupted, or repair"
-            ) from None
-        store.write_share(state, path)
+    paths = [store.share_path(args.root, order.server, meta.fid) for order in orders]
+    # No share is replaced until every share is read, checked and staged.
+    try:
+        staged = [path for order, path in zip(orders, paths) if _stage(order, path)]
+        for path in staged:
+            os.replace(store.staged_path(path), path)
+    except BaseException:
+        for path in paths:
+            with contextlib.suppress(OSError):
+                os.remove(store.staged_path(path))
+        raise
     store.write_meta(meta, args.meta)
     print(f"appended row {meta.ktilde}; ctr={meta.ctr}")
     return 0
@@ -204,18 +223,19 @@ def cmd_status(args) -> int:
         f"r={meta.r} ctr={meta.ctr} chunks={meta.chunks}"
     )
     print(f"original_length={meta.original_length}")
+    want = {"fid": (meta.fid,), "r": (meta.r,), "ctr": (meta.ctr,)}
     for j in range(1, meta.n + 1):
-        path = store.share_path(args.root, j, meta.fid)
-        if not os.path.exists(path):
+        try:
+            state = store.read_share(store.share_path(args.root, j, meta.fid))
+        except FileNotFoundError:
             line = "missing"
+        except FormatError as exc:
+            line = f"malformed: {exc}"
+        except OSError as exc:
+            line = f"unreadable: {exc.strerror or exc}"
         else:
-            try:
-                state = store.read_share(path)
-                want = {"j": (j,), "fid": (meta.fid,), "r": (meta.r,), "ctr": (meta.ctr,)}
-                wrong = _mismatch(state, want)
-                line = f"mismatch: {wrong}" if wrong else f"ok (r={state.r}, ctr={state.ctr})"
-            except FormatError as exc:
-                line = f"malformed: {exc}"
+            wrong = _mismatch(state, {"j": (j,), **want})
+            line = f"mismatch: {wrong}" if wrong else f"ok (r={state.r}, ctr={state.ctr})"
         print(f"server {j}: {line}")
     return 0
 

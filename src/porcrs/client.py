@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from . import auth, crs
 from .auth import SecretKey, TagContext
@@ -487,19 +487,5 @@ def redistribute(sk: SecretKey, meta: FileMetadata, dumps) -> RedistributeResult
     data_rows = [[blocks[i0][j0] for j0 in range(k)] for i0 in range(ktilde)]
     grid = _product_encode(fld, data_rows, n, k, stilde_new)
     shares = _tag_grid(sk, fld, meta.fid, grid, ktilde, parity_ctr=ctr_new)
-    fresh = FileMetadata(
-        fid=meta.fid,
-        field=fld,
-        n=n,
-        k=k,
-        ktilde=ktilde,
-        stilde=stilde_new,
-        stilde0=meta.stilde0,
-        ctr=ctr_new,
-        chunks=c,
-        original_length=meta.original_length,
-        eps_q=meta.eps_q,
-        eps_p=meta.eps_p,
-        window=meta.window,
-    )
+    fresh = replace(meta, stilde=stilde_new, ctr=ctr_new, audit_history={})
     return RedistributeResult(data=data, meta=fresh, shares=shares)

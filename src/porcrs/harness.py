@@ -408,9 +408,7 @@ def read_config(path) -> HarnessConfig:
                 raise ParameterError(f"config line {lineno}: unknown entry {line!r}")
             current = getattr(defaults, key)
             try:
-                if isinstance(current, bool):
-                    overrides[key] = value.strip().lower() in ("1", "true", "yes")
-                elif isinstance(current, int):
+                if isinstance(current, int):
                     overrides[key] = int(value)
                 elif isinstance(current, float):
                     overrides[key] = float(value)

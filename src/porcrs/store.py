@@ -7,14 +7,18 @@ Share files are little-endian binary:
     | r cells, each c block elements then c tag elements
 
 This module owns the header: ``write_share`` packs it with ``_PREFIX`` and
-``_SHAPE``, and ``_read_header`` alone parses it, for ``read_share`` and
-``read_share_header``.  ``Field`` owns the element encoding of the body
-(8-byte words in Z_p, w/8-byte words in GF(2^w)), which is encoded and
-decoded as one array of 2rc elements.  Tags sit next to their blocks so one
-challenged row is one contiguous read.  Writes go through a temp file and
-rename, so a share file on disk is always complete, and a failed write
-removes its temp file; any truncation or garbling surfaces as a
-FormatError on read, never as partial state.
+``_SHAPE``, and ``read_share`` alone parses it and checks the file length
+against r cells before it decodes the body.  ``Field`` owns the element
+encoding of the body (8-byte words in Z_p, w/8-byte words in GF(2^w)),
+which is encoded and decoded as one array of 2rc elements.  Tags sit next
+to their blocks so one challenged row is one contiguous read.  Writes go
+through a temp file and rename, so a share file on disk is always
+complete, and a failed write removes its temp file; any truncation or
+garbling surfaces as a FormatError on read, never as partial state.
+
+``porcrs append`` writes each new share to ``staged_path(share)``, beside
+the share, and renames the staged files over the shares only once all n
+are staged.
 
 Client metadata is line-oriented ``key=value`` text; the table ``_META``
 fixes its keys, their order and their syntax, so equal states serialize
@@ -75,21 +79,20 @@ def write_share(state: ServerState, path) -> None:
     _write_replacing(path, header + body)
 
 
-def _read_header(fh) -> ServerState:
-    """Parse the header at the start of ``fh`` and check that the rest of the
-    file is exactly r cells.  Returns the share with no cells, and leaves
-    ``fh`` at the start of the body."""
-    raw = fh.read(_PREFIX.size)
-    if len(raw) < _PREFIX.size:
-        raise FormatError("share file truncated in header")
-    magic, version, fid, token_len = _PREFIX.unpack(raw)
-    if magic != MAGIC:
-        raise FormatError("bad magic; not a share file")
-    if version != VERSION:
-        raise FormatError(f"unsupported share version {version}")
-    raw = fh.read(token_len + _SHAPE.size)
-    if len(raw) < token_len + _SHAPE.size:
-        raise FormatError("share file truncated in header")
+def read_share(path) -> ServerState:
+    with open(path, "rb") as fh:
+        raw = fh.read(_PREFIX.size)
+        if len(raw) < _PREFIX.size:
+            raise FormatError("share file truncated in header")
+        magic, version, fid, token_len = _PREFIX.unpack(raw)
+        if magic != MAGIC:
+            raise FormatError("bad magic; not a share file")
+        if version != VERSION:
+            raise FormatError(f"unsupported share version {version}")
+        raw = fh.read(token_len + _SHAPE.size)
+        if len(raw) < token_len + _SHAPE.size:
+            raise FormatError("share file truncated in header")
+        body = fh.read()
     try:
         fld = field_from_token(raw[:token_len].decode("ascii"))
     except UnicodeDecodeError:
@@ -104,33 +107,16 @@ def _read_header(fh) -> ServerState:
     if chunks < 1:
         raise FormatError("chunk count must be at least 1")
     cell_bytes = 2 * chunks * fld.element_size
-    body_len = os.fstat(fh.fileno()).st_size - fh.tell()
-    if body_len < r * cell_bytes:
-        raise FormatError(f"share file truncated in cell {body_len // cell_bytes + 1}")
-    if body_len > r * cell_bytes:
-        raise FormatError(f"{body_len - r * cell_bytes} trailing bytes after body")
-    return ServerState(j, fid, fld, ktilde, stilde, ctr, chunks, [])
-
-
-def read_share_header(path) -> ServerState:
-    """The share at ``path`` with its cells left unread (an empty list).
-
-    Runs every check of ``read_share`` except the range of body elements.
-    """
-    with open(path, "rb") as fh:
-        return _read_header(fh)
-
-
-def read_share(path) -> ServerState:
-    with open(path, "rb") as fh:
-        state = _read_header(fh)
-        body = fh.read()
+    if len(body) < r * cell_bytes:
+        raise FormatError(f"share file truncated in cell {len(body) // cell_bytes + 1}")
+    if len(body) > r * cell_bytes:
+        raise FormatError(f"{len(body) - r * cell_bytes} trailing bytes after body")
     try:
-        halves = state.field.vectors_from_bytes(body, 0, 2 * state.r, state.chunks)
+        halves = fld.vectors_from_bytes(body, 0, 2 * r, chunks)
     except FieldMismatchError as exc:
         raise FormatError(str(exc)) from None
-    state.cells = list(zip(halves, halves))  # consecutive halves: (block, tag)
-    return state
+    # Consecutive halves are (block, tag).
+    return ServerState(j, fid, fld, ktilde, stilde, ctr, chunks, list(zip(halves, halves)))
 
 
 # -- client metadata -----------------------------------------------------
@@ -232,6 +218,11 @@ def _check_meta(meta: FileMetadata) -> None:
 
 def share_path(root, j: int, fid: bytes) -> str:
     return os.path.join(root, f"server_{j}", f"{fid.hex()}.share")
+
+
+def staged_path(share: str) -> str:
+    """Where a new version of ``share`` waits until it is renamed over it."""
+    return f"{share}.staged"
 
 
 def write_share_tree(root, states: list[ServerState]) -> None:

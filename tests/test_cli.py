@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +171,7 @@ def test_interrupted_append_resumes_only_with_its_row(workspace, monkeypatch, fi
     tmp_path, root = workspace
     keygen_and_outsource(tmp_path, root, field=field)
     row_a, row_b = write_rows(tmp_path, b"A", b"B")
+    snapshot = depot_bytes(tmp_path)
     write_share = store.write_share
     written = []
 
@@ -179,13 +181,26 @@ def test_interrupted_append_resumes_only_with_its_row(workspace, monkeypatch, fi
         write_share(state, path)
         written.append(path)
 
+    # A write that fails after two servers are staged replaces no share and
+    # leaves no staged file behind.
     monkeypatch.setattr(store, "write_share", fail_after_two)
     assert append_file(root, row_a) == 4
     monkeypatch.setattr(store, "write_share", write_share)
     assert len(written) == 2
+    assert depot_bytes(tmp_path) == snapshot
 
-    # Servers 1 and 2 hold row A at the new counter: row B must not be
-    # counted as applied there and go on to the other servers.
+    # An append cut off after the shares of servers 1 and 2 were replaced:
+    # they hold row A at the new counter, every other file is as before.
+    assert append_file(root, row_a) == 0
+    meta = store.read_meta("file.meta")
+    taken = {Path(store.share_path(root, j, meta.fid)) for j in (1, 2)}
+    for path, data in snapshot.items():
+        if path not in taken:
+            path.write_bytes(data)
+    assert store.read_meta("file.meta").ctr == meta.ctr - 1
+
+    # Row B must not be counted as applied on servers 1 and 2 and go on to
+    # the other servers.
     before = depot_bytes(tmp_path)
     assert append_file(root, row_b) == 8
     assert depot_bytes(tmp_path) == before
@@ -220,13 +235,32 @@ def damage_share(root, meta, damage):
         raw = bytes([raw[0] ^ 0x01]) + raw[1:]
     elif damage == "cut":
         raw = raw[:-1]
+    elif damage == "word":  # the last tag element, outside Z_p
+        raw = raw[:-8] + (meta.field.order + 5).to_bytes(8, "little")
+    elif damage == "short":  # one parity row fewer, with a consistent header
+        state = store.read_share(victim)
+        state.stilde -= 1
+        del state.cells[-1]
+        store.write_share(state, victim)
+        return
     else:  # another server's share in its place
         raw = open(store.share_path(root, meta.n, meta.fid), "rb").read()
     open(victim, "wb").write(raw)
 
 
-@pytest.mark.parametrize("field", [PRIME, BINARY], ids=["zp", "gf2:16"])
-@pytest.mark.parametrize("damage, code", [("magic", 4), ("cut", 4), ("other-server", 8)])
+FIELD_IDS = {PRIME: "zp", BINARY: "gf2:16"}
+
+
+# Every GF(2^16) word is an element, so "word" damage is zp only.
+@pytest.mark.parametrize(
+    "damage, code, field",
+    [
+        (damage, code, field)
+        for damage, code in [("magic", 4), ("cut", 4), ("other-server", 8), ("short", 8)]
+        for field in (PRIME, BINARY)
+    ] + [("word", 4, PRIME)],
+    ids=FIELD_IDS.get,
+)
 def test_append_with_damaged_share_writes_nothing(workspace, field, damage, code):
     tmp_path, root = workspace
     keygen_and_outsource(tmp_path, root, field=field)
@@ -235,6 +269,7 @@ def test_append_with_damaged_share_writes_nothing(workspace, field, damage, code
     damage_share(root, meta, damage)
     before = depot_bytes(tmp_path)
     assert append_file(root, row) == code
+    # Also no staged file: depot_bytes lists every file of the workspace.
     assert depot_bytes(tmp_path) == before
 
 
@@ -261,6 +296,21 @@ def test_status_names_mismatched_share_fields(workspace, capsys):
     new = store.read_meta("file.meta")
     assert f"server 1: mismatch: r={meta.r} (want {new.r}), ctr=1 (want 2)\n" in out
     assert f"server 2: ok (r={new.r}, ctr=2)" in out
+
+
+def test_status_lists_every_server_past_an_unreadable_share(workspace, capsys):
+    tmp_path, root = workspace
+    keygen_and_outsource(tmp_path, root)
+    meta = store.read_meta("file.meta")
+    os.remove(store.share_path(root, 2, meta.fid))
+    os.mkdir(store.share_path(root, 2, meta.fid))
+    shutil.rmtree(root / "server_4")
+    assert main(["status", "--root", str(root), "--meta", "file.meta"]) == 0
+    out = capsys.readouterr().out
+    assert "server 2: unreadable: " in out
+    assert "server 4: missing\n" in out
+    for j in (1, 3, 5):
+        assert f"server {j}: ok (r={meta.r}, ctr=1)" in out
 
 
 def test_malformed_meta_exit_code(workspace):

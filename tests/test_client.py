@@ -322,10 +322,14 @@ def test_redistribute_round_trip_without_corruption():
     data = rng.randbytes(997)  # ragged length exercises unpadding
     meta, shares = outsource(sk, params, data, rng=rng)
     servers = client.make_server_states(meta, shares)
+    meta.history(1).append(False)
     result = redistribute(sk, meta, [server.dump_all(s) for s in servers])
     assert result is not None
     assert result.data == data
     assert result.meta.ctr == meta.ctr + 1
+    # The fresh shares start a fresh audit history, not the old one's.
+    assert result.meta.audit_history == {}
+    assert result.meta.audit_history is not meta.audit_history
     # fresh shares verify end to end
     fresh = client.make_server_states(result.meta, result.shares)
     q = challenge(result.meta, result.meta.r, rng)
