@@ -83,7 +83,6 @@ def cmd_outsource(args) -> int:
         fld, args.n, args.k, args.stilde, args.eps_q, args.eps_p,
         args.window, args.block_size,
     )
-    client.validate_params(params)
     with open(args.file, "rb") as fh:
         data = fh.read()
     rng = random.Random(args.seed) if args.seed is not None else None
@@ -251,7 +250,6 @@ def cmd_bench(args) -> int:
         fld, args.n, args.k, args.stilde, args.eps_q, args.eps_p,
         args.window, args.block_size,
     )
-    client.validate_params(params)
     for size in sizes:
         data = rng.randbytes(size)
         t0 = time.perf_counter()

@@ -36,7 +36,7 @@ from .server import ServerState, store_share
 
 @dataclass
 class SchemeParams:
-    """Deployment-wide choices made at setup time."""
+    """Deployment-wide choices made at setup time; checked when built."""
 
     field: Field
     n: int  # servers
@@ -46,6 +46,20 @@ class SchemeParams:
     eps_p: float = 0.05
     window: int = 20
     block_size: int = 4096  # payload bytes per block (binary profile)
+
+    def __post_init__(self):
+        fld = self.field
+        if not 0 < self.k < self.n:
+            raise ParameterError(f"need 0 < k < n, got k={self.k} n={self.n}")
+        if self.n > fld.order:
+            raise CapacityError(f"n={self.n} exceeds the order of {fld.token}")
+        if self.stilde0 < 0:
+            raise ParameterError("parity row count cannot be negative")
+        if not (0 < self.eps_q < 1 and 0 < self.eps_p < 1):
+            raise ParameterError("thresholds must lie in (0, 1)")
+        if self.window < 1:
+            raise ParameterError("audit window must be at least 1")
+        chunks_per_block(fld, self.block_size)  # validates block_size for the field
 
     @property
     def s(self) -> int:
@@ -120,22 +134,6 @@ class RedistributeResult:
     shares: list  # per server: list of (block, tag) cells
 
 
-def validate_params(params: SchemeParams) -> SchemeParams:
-    fld = params.field
-    if not 0 < params.k < params.n:
-        raise ParameterError(f"need 0 < k < n, got k={params.k} n={params.n}")
-    if params.n > fld.order:
-        raise CapacityError(f"n={params.n} exceeds the order of {fld.token}")
-    if params.stilde0 < 0:
-        raise ParameterError("parity row count cannot be negative")
-    if not (0 < params.eps_q < 1 and 0 < params.eps_p < 1):
-        raise ParameterError("thresholds must lie in (0, 1)")
-    if params.window < 1:
-        raise ParameterError("audit window must be at least 1")
-    chunks_per_block(fld, params.block_size)  # validates block_size for the field
-    return params
-
-
 def setup(
     fld: Field,
     n: int,
@@ -148,9 +146,7 @@ def setup(
     rng=None,
 ) -> tuple[SecretKey, SchemeParams]:
     """Generate a key and validate the deployment parameters."""
-    params = validate_params(
-        SchemeParams(fld, n, k, stilde0, eps_q, eps_p, window, block_size)
-    )
+    params = SchemeParams(fld, n, k, stilde0, eps_q, eps_p, window, block_size)
     sk = auth.keygen(fld, rng)
     return sk, params
 

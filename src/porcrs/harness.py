@@ -4,8 +4,8 @@ Each epoch runs four phases against in-memory servers: the client appends
 rows, the adversary mutates chosen server states in place (it may corrupt
 any number of servers -- there is no honesty quorum), the client audits,
 and the client repairs via redistribution when a server's recent failure
-fraction crosses eps_q.  Adversary strategies receive every audit verdict
-through a callback; none of the built-in strategies exploits it.
+fraction crosses eps_q.  An adversary strategy is a plain function: each
+epoch `run` draws `budget` servers to hit and hands them to it.
 
 Also houses the audit-evasion estimator: the empirical pass rate of a
 server that deleted a fixed number of blocks, compared against the exact
@@ -75,103 +75,61 @@ class ExperimentReport:
         return self.cheat_passes / self.cheat_audits
 
 
-class Adversary:
-    """Mutates server states in place between append and audit phases."""
+def _null(hit, old_parity, rng, config) -> list:
+    """Honest servers: hits none and changes nothing."""
+    return []
 
-    def before_appends(self, servers, rng) -> None:
-        pass
 
-    def corrupt(self, servers, rng) -> list:
-        """Returns the 1-based indices of servers it touched."""
+def _wipe(hit, old_parity, rng, config) -> list:
+    """Deletes every cell of each hit server."""
+    for state in hit:
+        state.cells = [None] * len(state.cells)
+    return hit
+
+
+def _tamper(hit, old_parity, rng, config) -> list:
+    """Perturbs the first chunk of a fraction of each hit server's blocks,
+    at least one block when the fraction is above 0; tags stay as they are."""
+    if not config.corrupt_fraction:
         return []
-
-    def observe(self, verdicts) -> None:
-        """Audit verdicts, exposed per the adaptive-adversary interface."""
-
-
-class NullAdversary(Adversary):
-    pass
-
-
-class WipeAdversary(Adversary):
-    """Deletes the whole storage of `budget` random servers each epoch."""
-
-    def __init__(self, budget: int, fraction: float):
-        self.budget = budget
-
-    def corrupt(self, servers, rng):
-        hit = rng.sample(range(len(servers)), min(self.budget, len(servers)))
-        for j0 in hit:
-            servers[j0].cells = [None] * len(servers[j0].cells)
-        return [j0 + 1 for j0 in hit]
+    for state in hit:
+        fld = state.field
+        r = len(state.cells)
+        count = max(1, math.floor(config.corrupt_fraction * r))
+        bump = fld.vec_from_ints([1] + [0] * (state.chunks - 1))
+        for i0 in rng.sample(range(r), count):
+            cell = state.cells[i0]
+            if cell is None:
+                continue
+            state.cells[i0] = (fld.vec_add(cell[0], bump), cell[1])
+    return hit
 
 
-class TamperAdversary(Adversary):
-    """Perturbs a fraction of cells (block only) on `budget` servers."""
-
-    def __init__(self, budget: int, fraction: float):
-        self.budget = budget
-        self.fraction = fraction
-
-    def corrupt(self, servers, rng):
-        hit = rng.sample(range(len(servers)), min(self.budget, len(servers)))
-        for j0 in hit:
-            state = servers[j0]
-            fld = state.field
-            r = len(state.cells)
-            count = max(1, math.floor(self.fraction * r))
-            bump = fld.vec_from_ints([1] + [0] * (state.chunks - 1))
-            for i0 in rng.sample(range(r), min(count, r)):
-                cell = state.cells[i0]
-                if cell is None:
-                    continue
-                state.cells[i0] = (fld.vec_add(cell[0], bump), cell[1])
-        return [j0 + 1 for j0 in hit]
+def _rollback(hit, old_parity, rng, config) -> list:
+    """Restores each hit server's parity cells from before the epoch's
+    appends (a freshness attack)."""
+    for state in hit:
+        state.cells[state.ktilde : state.r] = old_parity[state.j - 1]
+    return hit
 
 
-class RollbackAdversary(Adversary):
-    """Restores one server's pre-append parity rows (a freshness attack)."""
-
-    def __init__(self, budget: int, fraction: float):
-        self.budget = max(1, budget)
-        self._snapshots = None
-
-    def before_appends(self, servers, rng):
-        self._snapshots = [
-            (state.ktilde, [state.cells[state.ktilde + t] for t in range(state.stilde)])
-            for state in servers
-        ]
-
-    def corrupt(self, servers, rng):
-        if self._snapshots is None:
-            return []
-        hit = rng.sample(range(len(servers)), min(self.budget, len(servers)))
-        for j0 in hit:
-            state = servers[j0]
-            _, old_parity = self._snapshots[j0]
-            for t, cell in enumerate(old_parity):
-                state.cells[state.ktilde + t] = cell
-        return [j0 + 1 for j0 in hit]
+# Each strategy changes the states of the servers hit this epoch, given
+# every server's parity cells from before the epoch's appends, and returns
+# the states it changed.
+STRATEGIES = {"null": _null, "wipe": _wipe, "tamper": _tamper, "rollback": _rollback}
 
 
-_STRATEGIES = {
-    "null": lambda b, f: NullAdversary(),
-    "wipe": WipeAdversary,
-    "tamper": TamperAdversary,
-    "rollback": RollbackAdversary,
-}
-
-
-def make_adversary(config: HarnessConfig) -> Adversary:
+def make_adversary(config: HarnessConfig):
+    """The strategy function of a checked config."""
     try:
-        factory = _STRATEGIES[config.adversary]
+        strategy = STRATEGIES[config.adversary]
     except KeyError:
         raise ParameterError(f"unknown adversary strategy {config.adversary!r}") from None
     if not 0 <= config.budget <= config.n:
         raise ParameterError("adversary budget must lie in [0, n]")
     if not 0 <= config.corrupt_fraction <= 1:
         raise ParameterError("corruption fraction must lie in [0, 1]")
-    return factory(config.budget, config.corrupt_fraction)
+    return strategy
 
 
 def _timed(timings: dict, phase: str, start: float) -> float:
@@ -180,9 +138,9 @@ def _timed(timings: dict, phase: str, start: float) -> float:
     return now
 
 
-def run(config: HarnessConfig) -> ExperimentReport:
-    """Deterministic under the seed; audit failures are data, not errors."""
-    rng = random.Random(config.seed)
+def _outsourced(config: HarnessConfig, file_rows: int, rng):
+    """A key, metadata and server states for a random file of file_rows
+    grid rows, all drawn from rng."""
     fld = field_from_token(config.field_token)
     sk, params = client.setup(
         fld,
@@ -196,10 +154,27 @@ def run(config: HarnessConfig) -> ExperimentReport:
         rng=rng,
     )
     payload = client.block_payload_size(fld, client.chunks_per_block(fld, config.block_size))
-    data = rng.randbytes(max(1, config.file_rows * config.k * payload))
+    data = rng.randbytes(max(1, file_rows * config.k * payload))
     meta, shares = client.outsource(sk, params, data, rng=rng)
-    servers = client.make_server_states(meta, shares)
-    adversary = make_adversary(config)
+    return sk, meta, client.make_server_states(meta, shares)
+
+
+def _append_row(sk, meta, servers, rng) -> int:
+    """Appends one random row on every server; returns the bytes shipped."""
+    payload = client.block_payload_size(meta.field, meta.chunks)
+    row = client.row_blocks_from_payload(meta, rng.randbytes(payload * meta.k))
+    orders = client.append(sk, meta, row)
+    for state, order in zip(servers, orders):
+        server.apply_append(state, order)
+    return sum(o.wire_size(meta.field) for o in orders)
+
+
+def run(config: HarnessConfig) -> ExperimentReport:
+    """Deterministic under the seed; audit failures are data, not errors."""
+    strategy = make_adversary(config)
+    hits = 0 if strategy is _null else config.budget
+    rng = random.Random(config.seed)
+    sk, meta, servers = _outsourced(config, config.file_rows, rng)
 
     report = ExperimentReport(config=config, epochs=[])
     ever_corrupted: set[int] = set()
@@ -209,18 +184,13 @@ def run(config: HarnessConfig) -> ExperimentReport:
         stats = EpochStats(epoch=epoch, verdicts=[], corrupted=[], append_bytes=[])
         t0 = time.perf_counter()
 
-        adversary.before_appends(servers, rng)
+        old_parity = [state.cells[state.ktilde : state.r] for state in servers]
         for _ in range(config.appends_per_epoch):
-            row = client.row_blocks_from_payload(
-                meta, rng.randbytes(payload * config.k)
-            )
-            orders = client.append(sk, meta, row)
-            stats.append_bytes.append(sum(o.wire_size(fld) for o in orders))
-            for state, order in zip(servers, orders):
-                server.apply_append(state, order)
+            stats.append_bytes.append(_append_row(sk, meta, servers, rng))
         t0 = _timed(timings, "append", t0)
 
-        stats.corrupted = adversary.corrupt(servers, rng)
+        hit = rng.sample(servers, hits)
+        stats.corrupted = [state.j for state in strategy(hit, old_parity, rng, config)]
         ever_corrupted.update(stats.corrupted)
         t0 = _timed(timings, "corrupt", t0)
 
@@ -233,7 +203,6 @@ def run(config: HarnessConfig) -> ExperimentReport:
                 except ParameterError:
                     proof.append(None)
             verdicts = client.verify(sk, meta, q, proof)
-            adversary.observe(verdicts)
             stats.verdicts.append(verdicts)
             report.audits_total += len(verdicts)
             report.failures_total += verdicts.count(False)
@@ -346,39 +315,19 @@ class _CountingField:
 
 def account_append_cost(config: HarnessConfig) -> AppendCost:
     """Instrument one append at file height ktilde and again at 2*ktilde."""
-    fld = field_from_token(config.field_token)
+    if config.file_rows < 1:
+        raise ParameterError("cost accounting needs a file of at least one row")
 
     def one(file_rows: int):
         rng = random.Random(config.seed)
-        sk, params = client.setup(
-            fld,
-            config.n,
-            config.k,
-            config.stilde0,
-            config.eps_q,
-            config.eps_p,
-            config.window,
-            config.block_size,
-            rng=rng,
-        )
-        payload = client.block_payload_size(
-            fld, client.chunks_per_block(fld, config.block_size)
-        )
-        data = rng.randbytes(file_rows * config.k * payload)
-        meta, shares = client.outsource(sk, params, data, rng=rng)
-        servers = client.make_server_states(meta, shares)
-        row = client.row_blocks_from_payload(meta, rng.randbytes(payload * config.k))
-        orders = client.append(sk, meta, row)
-        nbytes = sum(o.wire_size(fld) for o in orders)
-        counting = _CountingField(fld)
-        for state, order in zip(servers, orders):
+        sk, meta, servers = _outsourced(config, file_rows, rng)
+        counting = _CountingField(meta.field)
+        for state in servers:
             state.field = counting
-            server.apply_append(state, order)
-        return nbytes, counting.mults
+        return _append_row(sk, meta, servers, rng), counting.mults, meta.chunks
 
-    bytes_small, mults_small = one(config.file_rows)
-    bytes_large, mults_large = one(2 * config.file_rows)
-    chunks = client.chunks_per_block(fld, config.block_size)
+    bytes_small, mults_small, chunks = one(config.file_rows)
+    bytes_large, mults_large, _ = one(2 * config.file_rows)
     return AppendCost(
         n=config.n,
         stilde=config.stilde0,

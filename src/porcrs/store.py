@@ -33,7 +33,7 @@ import operator
 import os
 import struct
 
-from .client import FileMetadata, SchemeParams, chunks_per_block, validate_params
+from .client import FileMetadata, SchemeParams, chunks_per_block
 from .errors import CapacityError, FieldMismatchError, FormatError, MetaFormatError, ParameterError
 from .field import field_from_token
 from .server import ServerState
@@ -195,10 +195,8 @@ def _check_meta(meta: FileMetadata) -> None:
     fld = meta.field
     block_size = meta.chunks * fld.payload_size
     try:
-        validate_params(
-            SchemeParams(fld, meta.n, meta.k, meta.stilde0, meta.eps_q, meta.eps_p,
-                         meta.window, block_size)
-        )
+        SchemeParams(fld, meta.n, meta.k, meta.stilde0, meta.eps_q, meta.eps_p,
+                     meta.window, block_size)
         chunks = chunks_per_block(fld, block_size)
     except (ParameterError, CapacityError) as exc:
         raise MetaFormatError(str(exc)) from None

@@ -1,8 +1,10 @@
-"""The benchmark command, run once per trace mode on its smallest workload.
+"""The benchmark command, run on its smallest workload once per trace mode,
+and traced on archive-gf2.
 
 The benchmark's result is the last line of its standard output; a run whose
-last line is not a JSON result counts as no result at all.  depot-zp covers
-the command-line path and the traced repair checks in a few seconds.
+last line is not a strict JSON result (no NaN or Infinity) counts as no
+result at all.  depot-zp covers the command-line path and the traced repair
+checks in a few seconds; the traced archive-gf2 run takes about 20 s.
 """
 
 import json
@@ -15,15 +17,18 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_benchmark_ends_with_a_correct_result(trace):
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _check_result(workload, trace):
     proc = subprocess.run(
-        [*BENCHMARK["command"], "--workload", "depot-zp", "--seed", "1",
+        [*BENCHMARK["command"], "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_refuse_constant)
     assert result["correct"] is True
     assert result["failed"] == 0
     if trace == 0:
@@ -34,3 +39,12 @@ def test_benchmark_ends_with_a_correct_result(trace):
                   if metric["name"].startswith("store.")}
         assert wanted
     assert wanted <= set(result["metrics"])
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_benchmark_ends_with_a_correct_result(trace):
+    _check_result("depot-zp", trace)
+
+
+def test_traced_archive_gf2_ends_with_a_correct_result():
+    _check_result("archive-gf2", 1)

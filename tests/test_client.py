@@ -82,6 +82,16 @@ def test_setup_validation():
         setup(M61, 5, 3, 2, eps_q=1.5)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((5, 5, 2), {}), ((5, 0, 2), {}), ((5, 3, 2), {"eps_q": 3.0}), ((5, 3, 2), {"window": 0})],
+    ids=["k=n", "k=0", "eps_q=3", "window=0"],
+)
+def test_scheme_params_check_themselves(args, kwargs):
+    with pytest.raises(ParameterError):
+        client.SchemeParams(M61, *args, **kwargs)
+
+
 def test_outsource_pads_single_block_file():
     rng = random.Random(1)
     sk, params = setup(M61, 4, 2, 1, rng=rng)

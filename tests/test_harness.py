@@ -75,6 +75,20 @@ def test_rollback_failure_rate_matches_hypergeometric():
         assert all(verdicts[j - 1] for verdicts in stats.verdicts)
 
 
+def test_rollback_with_no_budget_changes_nothing():
+    report = run(HarnessConfig(adversary="rollback", budget=0, epochs=2, seed=1))
+    assert [stats.corrupted for stats in report.epochs] == [[], []]
+    assert report.failures_total == 0 and report.cheat_audits == 0
+
+
+def test_tamper_with_no_fraction_changes_nothing():
+    report = run(
+        HarnessConfig(adversary="tamper", budget=1, corrupt_fraction=0.0, epochs=2, seed=1)
+    )
+    assert [stats.corrupted for stats in report.epochs] == [[], []]
+    assert report.failures_total == 0 and report.cheat_audits == 0
+
+
 def test_estimate_pcheat_trivial_cases():
     assert estimate_pcheat(10, 2, 0, 1000) == 1.0
     assert estimate_pcheat(10, 0, 5, 1000) == 1.0
