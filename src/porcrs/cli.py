@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import random
 import sys
@@ -148,23 +149,42 @@ def _stage(order, path) -> bool:
     return True
 
 
+def _replace_shares(stages: dict) -> None:
+    """Stage a new version of every share, then rename them all.
+
+    ``stages`` maps each share path to ``stage(path)``, which writes the new
+    version to ``store.staged_path(path)`` and returns False when the share
+    needs none.  No share is replaced before every stage has returned; on
+    any exception every staged file is removed and the error re-raised.
+    """
+    try:
+        staged = [path for path, stage in stages.items() if stage(path)]
+        for path in staged:
+            os.replace(store.staged_path(path), path)
+    except BaseException:
+        for path in stages:
+            with contextlib.suppress(OSError):
+                os.remove(store.staged_path(path))
+        raise
+
+
+def _stage_state(state, path) -> bool:
+    """Stage a share rebuilt by repair, making its server's directory."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    store.write_share(state, store.staged_path(path))
+    return True
+
+
 def cmd_append(args) -> int:
     meta, sk = _load_meta_key(args)
     with open(args.file, "rb") as fh:
         payload = fh.read()
     row = client.row_blocks_from_payload(meta, payload)
     orders = client.append(sk, meta, row)
-    paths = [store.share_path(args.root, order.server, meta.fid) for order in orders]
-    # No share is replaced until every share is read, checked and staged.
-    try:
-        staged = [path for order, path in zip(orders, paths) if _stage(order, path)]
-        for path in staged:
-            os.replace(store.staged_path(path), path)
-    except BaseException:
-        for path in paths:
-            with contextlib.suppress(OSError):
-                os.remove(store.staged_path(path))
-        raise
+    _replace_shares({
+        store.share_path(args.root, order.server, meta.fid): functools.partial(_stage, order)
+        for order in orders
+    })
     store.write_meta(meta, args.meta)
     print(f"appended row {meta.ktilde}; ctr={meta.ctr}")
     return 0
@@ -174,15 +194,15 @@ def cmd_audit(args) -> int:
     meta, sk = _load_meta_key(args)
     l = args.l if args.l is not None else min(meta.r, 20)
     q = client.challenge(meta, l, _rng(args.seed))
+    rows = [i for i, _ in q.entries]
     proof = []
     for j in range(1, meta.n + 1):
-        state = _read_share_or_none(args.root, j, meta.fid)
-        if state is None:
-            proof.append(None)
-            continue
+        # Only the challenged cells are read: a fault in any other cell
+        # waits for the audit that challenges it, or for append or repair.
         try:
+            state = store.read_share(store.share_path(args.root, j, meta.fid), rows)
             proof.append(prove(state, q))
-        except PorcrsError:
+        except (OSError, PorcrsError):
             proof.append(None)
     verdicts = client.verify(sk, meta, q, proof)
     for j, ok in enumerate(verdicts, 1):
@@ -207,7 +227,10 @@ def cmd_repair(args) -> int:
     out = args.out or f"{meta.fid.hex()}.recovered"
     with open(out, "wb") as fh:
         fh.write(result.data)
-    store.write_share_tree(args.root, client.make_server_states(result.meta, result.shares))
+    _replace_shares({
+        store.share_path(args.root, state.j, state.fid): functools.partial(_stage_state, state)
+        for state in client.make_server_states(result.meta, result.shares)
+    })
     store.write_meta(result.meta, args.meta)
     print(f"recovered {len(result.data)} bytes to {out}")
     print(f"reshared at ctr={result.meta.ctr} with {result.meta.stilde} parity rows")

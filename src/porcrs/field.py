@@ -169,9 +169,13 @@ class Field:
         """Stored form of vectors: each element little-endian in element_size bytes."""
         raise NotImplementedError
 
-    def vectors_from_bytes(self, data, offset: int, count: int, c: int):
+    def vectors_from_bytes(self, data, offset: int, count: int, c: int, picks=None):
         """Iterator over count vectors of c elements stored at data[offset:]
-        by vectors_to_bytes; FieldMismatchError if a word is not an element."""
+        by vectors_to_bytes; FieldMismatchError if a word is not an element.
+
+        With picks (0-based vector indices, repeats allowed) only those
+        vectors are gathered, checked and decoded, in the order given.
+        """
         raise NotImplementedError
 
 
@@ -309,11 +313,13 @@ class PrimeField(Field):
         flat = list(itertools.chain.from_iterable(vecs))
         return struct.pack(f"<{len(flat)}Q", *flat)
 
-    def vectors_from_bytes(self, data, offset, count, c):
-        flat = np.frombuffer(data, dtype="<u8", count=count * c, offset=offset)
-        if flat.size and flat.max() >= self.modulus:
-            raise FieldMismatchError(f"stored element {flat.max()} outside {self.token}")
-        return zip(*[iter(flat.tolist())] * c)  # tuples of c ints
+    def vectors_from_bytes(self, data, offset, count, c, picks=None):
+        words = np.frombuffer(data, dtype="<u8", count=count * c, offset=offset)
+        if picks is not None:
+            words = words.reshape(count, c)[picks].ravel()
+        if words.size and words.max() >= self.modulus:
+            raise FieldMismatchError(f"stored element {words.max()} outside {self.token}")
+        return zip(*[iter(words.tolist())] * c)  # tuples of c ints
 
 
 class BinaryField(Field):
@@ -459,9 +465,12 @@ class BinaryField(Field):
             return b""
         return np.concatenate(vecs).astype(self._stored_dtype, copy=False).tobytes()
 
-    def vectors_from_bytes(self, data, offset, count, c):
-        flat = np.frombuffer(data, dtype=self._stored_dtype, count=count * c, offset=offset)
-        return iter(flat.astype(self.dtype).reshape(count, c))  # rows of a writeable copy
+    def vectors_from_bytes(self, data, offset, count, c, picks=None):
+        words = np.frombuffer(data, dtype=self._stored_dtype, count=count * c, offset=offset)
+        words = words.reshape(count, c)
+        if picks is not None:
+            words = words[picks]
+        return iter(words.astype(self.dtype))  # rows of a writeable copy
 
 
 _FIELDS: dict[str, Field] = {}

@@ -8,17 +8,19 @@ Share files are little-endian binary:
 
 This module owns the header: ``write_share`` packs it with ``_PREFIX`` and
 ``_SHAPE``, and ``read_share`` alone parses it and checks the file length
-against r cells before it decodes the body.  ``Field`` owns the element
-encoding of the body (8-byte words in Z_p, w/8-byte words in GF(2^w)),
-which is encoded and decoded as one array of 2rc elements.  Tags sit next
-to their blocks so one challenged row is one contiguous read.  Writes go
-through a temp file and rename, so a share file on disk is always
-complete, and a failed write removes its temp file; any truncation or
-garbling surfaces as a FormatError on read, never as partial state.
+against r cells before it decodes any of the body.  ``Field`` owns the
+element encoding of the body (8-byte words in Z_p, w/8-byte words in
+GF(2^w)), which is encoded as one array of 2rc elements.  Tags sit next to
+their blocks, so cell i is the 2c elements at header + (i - 1) * 2c
+elements: ``read_share`` decodes either the whole body or, for an audit,
+just the challenged cells.  Writes go through a temp file and rename, so a
+share file on disk is always complete, and a failed write removes its temp
+file; any truncation or garbling surfaces as a FormatError on read, never
+as partial state.
 
-``porcrs append`` writes each new share to ``staged_path(share)``, beside
-the share, and renames the staged files over the shares only once all n
-are staged.
+``porcrs append`` and ``porcrs repair`` write each new share to
+``staged_path(share)``, beside the share, and rename the staged files over
+the shares only once all n are staged.
 
 Client metadata is line-oriented ``key=value`` text; the table ``_META``
 fixes its keys, their order and their syntax, so equal states serialize
@@ -29,9 +31,13 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import mmap
 import operator
 import os
 import struct
+from collections.abc import Sequence
+
+import numpy as np
 
 from .client import FileMetadata, SchemeParams, chunks_per_block
 from .errors import CapacityError, FieldMismatchError, FormatError, MetaFormatError, ParameterError
@@ -66,6 +72,8 @@ def write_share(state: ServerState, path) -> None:
     """Serialize a share; replace-on-write so readers never see partials."""
     fld = state.field
     token = fld.token.encode("ascii")
+    if isinstance(state.cells, PartialCells):
+        raise ParameterError("share was read at some rows only; cannot serialize")
     if None in state.cells:
         raise ParameterError(f"cell {state.cells.index(None) + 1} is absent; cannot serialize")
     body = fld.vectors_to_bytes(itertools.chain.from_iterable(state.cells))
@@ -79,20 +87,23 @@ def write_share(state: ServerState, path) -> None:
     _write_replacing(path, header + body)
 
 
-def read_share(path) -> ServerState:
-    with open(path, "rb") as fh:
-        raw = fh.read(_PREFIX.size)
-        if len(raw) < _PREFIX.size:
-            raise FormatError("share file truncated in header")
-        magic, version, fid, token_len = _PREFIX.unpack(raw)
-        if magic != MAGIC:
-            raise FormatError("bad magic; not a share file")
-        if version != VERSION:
-            raise FormatError(f"unsupported share version {version}")
-        raw = fh.read(token_len + _SHAPE.size)
-        if len(raw) < token_len + _SHAPE.size:
-            raise FormatError("share file truncated in header")
-        body = fh.read()
+def _read_header(fh) -> tuple[ServerState, int]:
+    """Parse and check the header at the start of fh, then check the file's
+    length against r cells, before any body byte is read.
+
+    Returns the share's state, with no cells yet, and the body's offset.
+    """
+    raw = fh.read(_PREFIX.size)
+    if len(raw) < _PREFIX.size:
+        raise FormatError("share file truncated in header")
+    magic, version, fid, token_len = _PREFIX.unpack(raw)
+    if magic != MAGIC:
+        raise FormatError("bad magic; not a share file")
+    if version != VERSION:
+        raise FormatError(f"unsupported share version {version}")
+    raw = fh.read(token_len + _SHAPE.size)
+    if len(raw) < token_len + _SHAPE.size:
+        raise FormatError("share file truncated in header")
     try:
         fld = field_from_token(raw[:token_len].decode("ascii"))
     except UnicodeDecodeError:
@@ -106,17 +117,73 @@ def read_share(path) -> ServerState:
         raise FormatError("server index and data row count must be at least 1")
     if chunks < 1:
         raise FormatError("chunk count must be at least 1")
+    offset = _PREFIX.size + token_len + _SHAPE.size
+    body_len = os.fstat(fh.fileno()).st_size - offset
     cell_bytes = 2 * chunks * fld.element_size
-    if len(body) < r * cell_bytes:
-        raise FormatError(f"share file truncated in cell {len(body) // cell_bytes + 1}")
-    if len(body) > r * cell_bytes:
-        raise FormatError(f"{len(body) - r * cell_bytes} trailing bytes after body")
+    if body_len < r * cell_bytes:
+        raise FormatError(f"share file truncated in cell {body_len // cell_bytes + 1}")
+    if body_len > r * cell_bytes:
+        raise FormatError(f"{body_len - r * cell_bytes} trailing bytes after body")
+    return ServerState(j, fid, fld, ktilde, stilde, ctr, chunks), offset
+
+
+class PartialCells(Sequence):
+    """The cells of a share read at some rows only: index i - 1 holds row i.
+
+    An unread row raises LookupError, so it can never pass for a wiped
+    cell, and ``write_share`` refuses a state that holds these cells.
+    """
+
+    def __init__(self, r: int, read: dict):
+        self._r = r
+        self._read = read  # row index (0-based) -> (block, tag)
+
+    def __len__(self) -> int:
+        return self._r
+
+    def __getitem__(self, index):
+        if not 0 <= index < self._r:
+            raise IndexError(f"row {index + 1} out of range 1..{self._r}")
+        try:
+            return self._read[index]
+        except KeyError:
+            raise LookupError(f"row {index + 1} was not read from the share file") from None
+
+
+def read_share(path, rows=None) -> ServerState:
+    """Read and check the share file at ``path``.
+
+    With ``rows`` (1-based, repeats allowed) only the header and those rows'
+    cells are read, through a memory map, with one gather and one element
+    check; the state's cells are then ``PartialCells``.  Header and length
+    faults raise the same FormatError either way, and so does a word outside
+    the field in a cell that is read; one in an unread cell goes unseen.
+    """
+    with open(path, "rb") as fh:
+        state, offset = _read_header(fh)
+        fld, r = state.field, state.r
+        if rows is None:
+            halves = _decode(fld, fh.read(), 0, r, state.chunks)
+            state.cells = list(zip(halves, halves))  # consecutive halves are (block, tag)
+            return state
+        rows = list(rows)
+        for i in rows:
+            if not 1 <= i <= r:
+                raise ParameterError(f"row {i} out of range 1..{r}")
+        # Row i is halves 2i - 2 (its block) and 2i - 1 (its tag).
+        picks = np.repeat(2 * np.array(rows, dtype=np.intp) - 2, 2)
+        picks[1::2] += 1
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as body:
+            halves = _decode(fld, body, offset, r, state.chunks, picks)
+    state.cells = PartialCells(r, {i - 1: cell for i, cell in zip(rows, zip(halves, halves))})
+    return state
+
+
+def _decode(fld, body, offset: int, r: int, chunks: int, picks=None):
     try:
-        halves = fld.vectors_from_bytes(body, 0, 2 * r, chunks)
+        return fld.vectors_from_bytes(body, offset, 2 * r, chunks, picks)
     except FieldMismatchError as exc:
         raise FormatError(str(exc)) from None
-    # Consecutive halves are (block, tag).
-    return ServerState(j, fid, fld, ktilde, stilde, ctr, chunks, list(zip(halves, halves)))
 
 
 # -- client metadata -----------------------------------------------------

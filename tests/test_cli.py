@@ -1,6 +1,7 @@
 """CLI workflows over directory-backed servers."""
 
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -215,6 +216,40 @@ def test_interrupted_append_resumes_only_with_its_row(workspace, monkeypatch, fi
     assert open("restored.bin", "rb").read().endswith(row_a.read_bytes())
 
 
+@pytest.mark.parametrize(
+    "field, j", [(PRIME, 1), (PRIME, 5), (BINARY, 3)], ids=["zp-1", "zp-5", "gf2:16-3"]
+)
+def test_interrupted_repair_changes_nothing(workspace, monkeypatch, tmp_path_factory, field, j):
+    tmp_path, root = workspace
+    data = b"C" * 997
+    keygen_and_outsource(tmp_path, root, data=data, field=field)
+    shutil.rmtree(root / "server_1")  # repair makes its directory again
+    snapshot = depot_bytes(tmp_path)
+    out = tmp_path_factory.mktemp("out") / "restored.bin"
+    repair = ["repair", "--root", str(root), "--meta", "file.meta", "--key", "client.key",
+              "--out", str(out)]
+    write_share = store.write_share
+    written = []
+
+    def fail_at_share_j(state, path):
+        if len(written) == j - 1:
+            raise OSError("device gone")
+        write_share(state, path)
+        written.append(path)
+
+    # Shares are staged in server order; the write of share j fails.
+    monkeypatch.setattr(store, "write_share", fail_at_share_j)
+    assert main(repair) == 4
+    monkeypatch.setattr(store, "write_share", write_share)
+    assert len(written) == j - 1
+    assert depot_bytes(tmp_path) == snapshot  # also: no staged file is left
+
+    assert main(repair) == 0
+    assert out.read_bytes() == data
+    meta = store.read_meta("file.meta")
+    assert audit(root, extra=["--l", str(meta.r)]) == 0
+
+
 @pytest.mark.parametrize("field", [PRIME, BINARY], ids=["zp", "gf2:16"])
 def test_append_with_missing_share_writes_nothing(workspace, field):
     tmp_path, root = workspace
@@ -296,6 +331,49 @@ def test_status_names_mismatched_share_fields(workspace, capsys):
     new = store.read_meta("file.meta")
     assert f"server 1: mismatch: r={meta.r} (want {new.r}), ctr=1 (want 2)\n" in out
     assert f"server 2: ok (r={new.r}, ctr=2)" in out
+
+
+def test_audit_sees_a_bad_word_only_in_a_challenged_cell(workspace, capsys):
+    # An audit reads the challenged cells alone; a word outside Z_p in any
+    # other cell waits for the audit that challenges it (or for append or
+    # repair, which decode every cell).
+    tmp_path, root = workspace
+    keygen_and_outsource(tmp_path, root, data=b"D" * 30000)
+    meta = store.read_meta("file.meta")
+    ((challenged, _),) = client.challenge(meta, 1, random.Random(3)).entries  # audit's seed
+    unread = challenged % meta.r + 1
+    assert unread != challenged
+    victim = store.share_path(root, 2, meta.fid)
+    raw = bytearray(open(victim, "rb").read())
+    cell_bytes = 2 * meta.chunks * 8
+    off = len(raw) - (meta.r - unread + 1) * cell_bytes  # the first word of that cell
+    raw[off : off + 8] = (meta.field.order + 5).to_bytes(8, "little")
+    open(victim, "wb").write(bytes(raw))
+
+    assert audit(root, extra=["--l", "1"]) == 0
+    assert "audit passed (1 rows challenged)" in capsys.readouterr().out
+    assert audit(root, extra=["--l", str(meta.r)]) == 2
+    out = capsys.readouterr().out
+    assert [j for j in range(1, 6) if f"server {j}: FAIL" in out] == [2]
+    assert "audit failed for servers: 2\n" in out
+
+
+def test_audit_fails_a_stale_share_alone(workspace, capsys):
+    tmp_path, root = workspace
+    keygen_and_outsource(tmp_path, root)
+    meta = store.read_meta("file.meta")
+    stale = open(store.share_path(root, 4, meta.fid), "rb").read()
+    (row,) = write_rows(tmp_path, b"A")
+    assert append_file(root, row) == 0
+    open(store.share_path(root, 4, meta.fid), "wb").write(stale)
+    new = store.read_meta("file.meta")
+    assert new.r == meta.r + 1
+    capsys.readouterr()
+    # Row r is beyond the stale share: that server fails, the audit goes on.
+    assert audit(root, extra=["--l", str(new.r)]) == 2
+    out = capsys.readouterr().out
+    assert [j for j in range(1, 6) if f"server {j}: PASS" in out] == [1, 2, 3, 5]
+    assert "audit failed for servers: 4\n" in out
 
 
 def test_status_lists_every_server_past_an_unreadable_share(workspace, capsys):

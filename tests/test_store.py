@@ -8,7 +8,7 @@ import struct
 
 import pytest
 
-from porcrs import client, store
+from porcrs import client, server, store
 from porcrs.client import outsource, setup
 from porcrs.errors import FormatError, MetaFormatError, ParameterError
 from porcrs.field import binary_field, prime_field
@@ -26,6 +26,22 @@ def build_states(fld, rng, block_size=64, rows=3):
     data = rng.randbytes(rows * 3 * payload)
     meta, shares = outsource(sk, params, data, rng=rng)
     return meta, client.make_server_states(meta, shares)
+
+
+# build_states shares have r = 5.  Every reader check runs on a whole read
+# and on a read of the last, first and middle rows, one of them repeated.
+ROWS = [5, 1, 3, 1]
+READS = (store.read_share, lambda path: store.read_share(path, ROWS))
+
+
+def assert_unreadable(path, match=None):
+    """Both reads raise the same FormatError."""
+    messages = []
+    for read in READS:
+        with pytest.raises(FormatError, match=match) as caught:
+            read(path)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
@@ -68,8 +84,7 @@ def test_share_bad_magic(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[:4] = b"NOPE"
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        store.read_share(path)
+    assert_unreadable(path, "bad magic")
 
 
 def test_share_bad_version(tmp_path):
@@ -80,8 +95,7 @@ def test_share_bad_version(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4] = 99
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        store.read_share(path)
+    assert_unreadable(path, "version 99")
 
 
 def test_share_trailing_garbage(tmp_path):
@@ -90,8 +104,7 @@ def test_share_trailing_garbage(tmp_path):
     path = tmp_path / "x.share"
     store.write_share(states[0], path)
     path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(FormatError):
-        store.read_share(path)
+    assert_unreadable(path, "1 trailing bytes")
 
 
 @pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
@@ -104,8 +117,7 @@ def test_share_truncation_fuzz(fld, tmp_path):
     for _ in range(250):
         cut = rng.randrange(len(raw))
         path.write_bytes(raw[:cut])
-        with pytest.raises(FormatError):
-            store.read_share(path)
+        assert_unreadable(path)
 
 
 def check_prime_element_out_of_range(tmp_path, cell, half):
@@ -118,8 +130,12 @@ def check_prime_element_out_of_range(tmp_path, cell, half):
     off = len(raw) - 5 * 16 + cell * 16 + half * 8  # 5 cells of two 8-byte words
     raw[off : off + 8] = (M61.order + 5).to_bytes(8, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="outside"):
-        store.read_share(path)
+    assert cell + 1 in ROWS
+    assert_unreadable(path, "outside")
+    # A row read that leaves the bad cell out does not see it.
+    others = [i for i in range(1, 6) if i != cell + 1]
+    partial = store.read_share(path, others)
+    assert [partial.cells[i - 1] for i in others] == [states[0].cells[i - 1] for i in others]
 
 
 def test_share_prime_element_out_of_range(tmp_path):
@@ -129,6 +145,48 @@ def test_share_prime_element_out_of_range(tmp_path):
 @pytest.mark.parametrize("cell, half", [(0, 0), (2, 1)], ids=["first-block", "middle-tag"])
 def test_share_prime_element_out_of_range_inner(tmp_path, cell, half):
     check_prime_element_out_of_range(tmp_path, cell, half)
+
+
+@pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
+def test_row_read_matches_whole_read(fld, tmp_path):
+    rng = random.Random(22)
+    _, states = build_states(fld, rng, rows=9)
+    path = tmp_path / "x.share"
+    store.write_share(states[2], path)
+    whole = store.read_share(path)
+    r = whole.r
+    assert r == 11
+    header = ("j", "fid", "field", "ktilde", "stilde", "ctr", "chunks")
+    for _ in range(40):
+        rows = rng.choices(range(1, r + 1), k=rng.randrange(1, r))
+        rows += [1, r, rows[0]]  # the first row, the last row and a repeat
+        rng.shuffle(rows)
+        part = store.read_share(path, rows)
+        assert [getattr(part, a) for a in header] == [getattr(whole, a) for a in header]
+        assert len(part.cells) == r
+        for i in rows:
+            for got, want in zip(part.cells[i - 1], whole.cells[i - 1]):
+                assert type(got) is type(want) and fld.vec_eq(got, want)
+        for i in set(range(1, r + 1)) - set(rows):
+            with pytest.raises(LookupError, match=f"row {i} was not read"):
+                part.cells[i - 1]
+
+
+def test_partial_share_never_answers_for_an_unread_row(tmp_path):
+    _, states = build_states(M61, random.Random(23))
+    path = tmp_path / "x.share"
+    store.write_share(states[0], path)
+    part = store.read_share(path, [2])
+    # Not zero-filled as a wiped cell would be.
+    with pytest.raises(LookupError, match="row 1 was not read"):
+        server.prove(part, client.ChallengeSet(epoch=0, entries=((2, 1), (1, 1))))
+    assert server.prove(part, client.ChallengeSet(epoch=0, entries=((2, 1),))) == states[0].cells[1]
+    with pytest.raises(ParameterError, match="read at some rows"):
+        store.write_share(part, tmp_path / "y.share")
+    assert os.listdir(tmp_path) == ["x.share"]
+    for row in (0, 6):
+        with pytest.raises(ParameterError, match=f"row {row} out of range 1..5"):
+            store.read_share(path, [1, row])
 
 
 # SHA-256 of the five share files of build_states(fld, random.Random(19)),
@@ -197,8 +255,7 @@ def test_share_without_data_rows_rejected(tmp_path):
     header_end = len(raw) - 5 * 16
     raw[header_end - 48 : header_end] = struct.pack("<6Q", 1, 0, 0, 0, 1, 1)
     path.write_bytes(bytes(raw[:header_end]))
-    with pytest.raises(FormatError, match="at least 1"):
-        store.read_share(path)
+    assert_unreadable(path, "at least 1")
 
 
 def test_share_cannot_serialize_wiped_cells(tmp_path):
