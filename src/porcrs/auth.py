@@ -242,6 +242,7 @@ def write_keyfile(path, sk: SecretKey, fld: Field) -> None:
     data = f"alpha={alpha}\nkprf={sk.kprf.hex()}\n"
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
     with os.fdopen(fd, "w") as fh:
+        os.fchmod(fd, 0o600)  # os.open's mode applies only to a new file
         fh.write(data)
 
 
@@ -255,6 +256,8 @@ def read_keyfile(path, fld: Field) -> SecretKey:
             key, sep, value = line.partition("=")
             if not sep or key not in ("alpha", "kprf"):
                 raise FormatError(f"keyfile line {lineno}: unknown entry {line!r}")
+            if key in fields:
+                raise FormatError(f"keyfile line {lineno}: duplicate key {key!r}")
             fields[key] = value
     if set(fields) != {"alpha", "kprf"}:
         raise FormatError("keyfile must contain exactly alpha and kprf")

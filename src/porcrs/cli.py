@@ -14,7 +14,6 @@ order, 1 unexpected error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import random
@@ -61,14 +60,6 @@ def _load_meta_key(args):
     return meta, sk
 
 
-def _read_share_or_none(root, j, fid):
-    path = store.share_path(root, j, fid)
-    try:
-        return store.read_share(path)
-    except (OSError, FormatError):
-        return None
-
-
 def cmd_keygen(args) -> int:
     fld = field_from_token(args.field)
     sk = keygen(fld, random.Random(args.seed) if args.seed is not None else None)
@@ -88,9 +79,8 @@ def cmd_outsource(args) -> int:
         data = fh.read()
     rng = random.Random(args.seed) if args.seed is not None else None
     meta, shares = client.outsource(sk, params, data, rng=rng)
-    store.write_share_tree(args.root, client.make_server_states(meta, shares))
     meta_path = args.meta or f"{meta.fid.hex()}.meta"
-    store.write_meta(meta, meta_path)
+    _commit(args.root, meta, shares, meta_path)
     print(f"fid={meta.fid.hex()}")
     print(f"grid: {meta.ktilde} data rows + {meta.stilde} parity rows x {meta.n} servers")
     print(f"metadata: {meta_path}")
@@ -118,11 +108,11 @@ def _mismatch(state, allowed: dict) -> str:
     )
 
 
-def _stage(order, path) -> bool:
-    """Read and check one server's share, apply its order and write the
-    result to the share's staged path; False when the share already took
-    the order.  The decoded share is dropped on return: decoded shares kept
-    alive slow the cyclic GC."""
+def _stage(order, path):
+    """Read and check one server's share and apply its order; returns the
+    new share's bytes, or None when the share already took the order.  The
+    decoded share is dropped on return: decoded shares kept alive slow the
+    cyclic GC."""
     j = order.server
     try:
         state = store.read_share(path)
@@ -137,7 +127,7 @@ def _stage(order, path) -> bool:
         raise OrderRejectedError(f"server {j}: share has {wrong}; repair first")
     if _holds_order(state, order):
         print(f"server {j}: already applied")
-        return False
+        return None
     try:
         apply_append(state, order)
     except OrderRejectedError as exc:
@@ -145,34 +135,17 @@ def _stage(order, path) -> bool:
             f"server {j}: {exc}; re-run append with the row that was "
             "interrupted, or repair"
         ) from None
-    store.write_share(state, store.staged_path(path))
-    return True
+    return store.share_bytes(state)
 
 
-def _replace_shares(stages: dict) -> None:
-    """Stage a new version of every share, then rename them all.
-
-    ``stages`` maps each share path to ``stage(path)``, which writes the new
-    version to ``store.staged_path(path)`` and returns False when the share
-    needs none.  No share is replaced before every stage has returned; on
-    any exception every staged file is removed and the error re-raised.
-    """
-    try:
-        staged = [path for path, stage in stages.items() if stage(path)]
-        for path in staged:
-            os.replace(store.staged_path(path), path)
-    except BaseException:
-        for path in stages:
-            with contextlib.suppress(OSError):
-                os.remove(store.staged_path(path))
-        raise
-
-
-def _stage_state(state, path) -> bool:
-    """Stage a share rebuilt by repair, making its server's directory."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    store.write_share(state, store.staged_path(path))
-    return True
+def _commit(root, meta, shares, meta_path) -> None:
+    """Replace every server's share with a fresh one, then the metadata."""
+    stages = {
+        store.share_path(root, state.j, state.fid): functools.partial(store.share_bytes, state)
+        for state in client.make_server_states(meta, shares)
+    }
+    stages[meta_path] = functools.partial(store.meta_bytes, meta)
+    store.replace_files(stages)
 
 
 def cmd_append(args) -> int:
@@ -181,11 +154,12 @@ def cmd_append(args) -> int:
         payload = fh.read()
     row = client.row_blocks_from_payload(meta, payload)
     orders = client.append(sk, meta, row)
-    _replace_shares({
-        store.share_path(args.root, order.server, meta.fid): functools.partial(_stage, order)
-        for order in orders
-    })
-    store.write_meta(meta, args.meta)
+    stages = {}
+    for order in orders:
+        path = store.share_path(args.root, order.server, meta.fid)
+        stages[path] = functools.partial(_stage, order, path)
+    stages[args.meta] = functools.partial(store.meta_bytes, meta)
+    store.replace_files(stages)
     print(f"appended row {meta.ktilde}; ctr={meta.ctr}")
     return 0
 
@@ -217,9 +191,12 @@ def cmd_audit(args) -> int:
 
 def cmd_repair(args) -> int:
     meta, sk = _load_meta_key(args)
-    dumps = [
-        _read_share_or_none(args.root, j, meta.fid) for j in range(1, meta.n + 1)
-    ]
+    dumps = []
+    for j in range(1, meta.n + 1):
+        try:
+            dumps.append(store.read_share(store.share_path(args.root, j, meta.fid)))
+        except (OSError, FormatError):
+            dumps.append(None)  # an erasure
     result = client.redistribute(sk, meta, dumps)
     if result is None:
         print("repair failed: file unavailable")
@@ -227,11 +204,8 @@ def cmd_repair(args) -> int:
     out = args.out or f"{meta.fid.hex()}.recovered"
     with open(out, "wb") as fh:
         fh.write(result.data)
-    _replace_shares({
-        store.share_path(args.root, state.j, state.fid): functools.partial(_stage_state, state)
-        for state in client.make_server_states(result.meta, result.shares)
-    })
-    store.write_meta(result.meta, args.meta)
+    # The data is handed back before the commit, even if re-sharing fails.
+    _commit(args.root, result.meta, result.shares, args.meta)
     print(f"recovered {len(result.data)} bytes to {out}")
     print(f"reshared at ctr={result.meta.ctr} with {result.meta.stilde} parity rows")
     return 0

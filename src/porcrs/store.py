@@ -6,21 +6,23 @@ Share files are little-endian binary:
     | j u64 | r u64 | ktilde u64 | stilde u64 | ctr u64 | c u64
     | r cells, each c block elements then c tag elements
 
-This module owns the header: ``write_share`` packs it with ``_PREFIX`` and
+This module owns the header: ``share_bytes`` packs it with ``_PREFIX`` and
 ``_SHAPE``, and ``read_share`` alone parses it and checks the file length
 against r cells before it decodes any of the body.  ``Field`` owns the
 element encoding of the body (8-byte words in Z_p, w/8-byte words in
 GF(2^w)), which is encoded as one array of 2rc elements.  Tags sit next to
 their blocks, so cell i is the 2c elements at header + (i - 1) * 2c
 elements: ``read_share`` decodes either the whole body or, for an audit,
-just the challenged cells.  Writes go through a temp file and rename, so a
-share file on disk is always complete, and a failed write removes its temp
-file; any truncation or garbling surfaces as a FormatError on read, never
-as partial state.
+just the challenged cells.
 
-``porcrs append`` and ``porcrs repair`` write each new share to
-``staged_path(share)``, beside the share, and rename the staged files over
-the shares only once all n are staged.
+Every write goes through ``replace_files``: it writes each new file to
+``staged_path(path)`` and renames the staged files over their paths only
+once all are staged, so a file on disk is always complete.  ``outsource``,
+``append`` and ``repair`` commit this way, their metadata last: a failure
+before the first rename changes no file; after it, ``append`` and
+``repair`` finish when run again, and an ``outsource`` leaves no
+metadata.  Two porcrs commands must not run on one depot at once: they
+share the staged names.
 
 Client metadata is line-oriented ``key=value`` text; the table ``_META``
 fixes its keys, their order and their syntax, so equal states serialize
@@ -30,6 +32,7 @@ byte-identically.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import mmap
 import operator
@@ -51,25 +54,34 @@ _PREFIX = struct.Struct("<4sH16sH")  # magic, version, fid, token length
 _SHAPE = struct.Struct("<6Q")  # j, r, ktilde, stilde, ctr, c
 
 
-def _write_replacing(path, data: bytes) -> None:
-    """Write to a temp file, then rename it over ``path``.
+def replace_files(stages) -> None:
+    """Stage a new version of every file, then rename them all in order.
 
-    On any failure the temp file is removed and the error re-raised, so the
-    old file stays as it was and nothing is left beside it.
+    ``stages`` maps each path to a callable that returns the file's new
+    bytes, or None to leave it as it is; each result is written out
+    (making its directory) before the next stage runs.  On any exception
+    every staged file is removed and the error re-raised.
     """
-    tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        staged = []
+        for path, stage in stages.items():
+            data = stage()
+            if data is not None:
+                os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+                with open(staged_path(path), "wb") as fh:
+                    fh.write(data)
+                staged.append(path)
+        for path in staged:
+            os.replace(staged_path(path), path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for path in stages:
+            with contextlib.suppress(OSError):
+                os.remove(staged_path(path))
         raise
 
 
-def write_share(state: ServerState, path) -> None:
-    """Serialize a share; replace-on-write so readers never see partials."""
+def share_bytes(state: ServerState) -> bytes:
+    """Serialize a share whose every cell is present and of its shape."""
     fld = state.field
     token = fld.token.encode("ascii")
     if isinstance(state.cells, PartialCells):
@@ -84,7 +96,12 @@ def write_share(state: ServerState, path) -> None:
         + token
         + _SHAPE.pack(state.j, state.r, state.ktilde, state.stilde, state.ctr, state.chunks)
     )
-    _write_replacing(path, header + body)
+    return header + body
+
+
+def write_share(state: ServerState, path) -> None:
+    """Replace the file at ``path`` with the share, or leave it as it was."""
+    replace_files({path: functools.partial(share_bytes, state)})
 
 
 def _read_header(fh) -> tuple[ServerState, int]:
@@ -215,11 +232,14 @@ _META = {
 }
 
 
-def write_meta(meta: FileMetadata, path) -> None:
-    text = "".join(
+def meta_bytes(meta: FileMetadata) -> bytes:
+    return "".join(
         f"{key}={fmt(getattr(meta, attr))}\n" for key, (attr, _, fmt) in _META.items()
-    )
-    _write_replacing(path, text.encode("ascii"))
+    ).encode("ascii")
+
+
+def write_meta(meta: FileMetadata, path) -> None:
+    replace_files({path: functools.partial(meta_bytes, meta)})
 
 
 def read_meta(path) -> FileMetadata:
@@ -285,13 +305,14 @@ def share_path(root, j: int, fid: bytes) -> str:
     return os.path.join(root, f"server_{j}", f"{fid.hex()}.share")
 
 
-def staged_path(share: str) -> str:
-    """Where a new version of ``share`` waits until it is renamed over it."""
-    return f"{share}.staged"
+def staged_path(path) -> str:
+    """Where a new version of ``path`` waits until it is renamed over it."""
+    return f"{path}.staged"
 
 
 def write_share_tree(root, states: list[ServerState]) -> None:
-    for state in states:
-        path = share_path(root, state.j, state.fid)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_share(state, path)
+    """Write every share under ``root``, all of them or none."""
+    replace_files({
+        share_path(root, state.j, state.fid): functools.partial(share_bytes, state)
+        for state in states
+    })

@@ -217,9 +217,13 @@ def test_keygen_uniformity_smoke():
 def test_keyfile_round_trip(fld, tmp_path):
     sk = keygen(fld, random.Random(12))
     path = tmp_path / "client.key"
-    write_keyfile(path, sk, fld)
-    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
-    assert read_keyfile(path, fld) == sk
+    for existing in (None, 0o644):  # a new file, and one readable by others
+        if existing is not None:
+            path.write_text("old\n")
+            os.chmod(path, existing)
+        write_keyfile(path, sk, fld)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+        assert read_keyfile(path, fld) == sk
 
 
 def test_keyfile_malformed(tmp_path):
@@ -233,6 +237,11 @@ def test_keyfile_malformed(tmp_path):
     path.write_text("alpha=5\nkprf=00\nextra=1\n")
     with pytest.raises(FormatError):
         read_keyfile(path, M61)
+    # A second alpha or kprf line is refused, not taken as the value.
+    for again in ("alpha=6", f"kprf={bytes(range(32)).hex()}"):
+        path.write_text(f"alpha=5\nkprf={KEY.hex()}\n{again}\n")
+        with pytest.raises(FormatError, match="line 3: duplicate key"):
+            read_keyfile(path, M61)
 
 
 def test_context_validation():

@@ -18,7 +18,9 @@ from porcrs.cli import main
 def workspace(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     root = tmp_path / "root"
-    return tmp_path, root
+    yield tmp_path, root
+    # Whatever a command did, it left no staged file behind.
+    assert not list(tmp_path.rglob("*.staged"))
 
 
 ZP = "zp:2305843009213693951"
@@ -28,11 +30,16 @@ BINARY = ("gf2:16", 64)
 
 
 def keygen_and_outsource(tmp_path, root, data=b"0123456789" * 60, seed=1, field=PRIME):
-    token, block_size = field
     src = tmp_path / "input.bin"
     src.write_bytes(data)
-    assert main(["keygen", "--key", "client.key", "--seed", "7", "--field", token]) == 0
-    rc = main(
+    assert main(["keygen", "--key", "client.key", "--seed", "7", "--field", field[0]]) == 0
+    assert outsource(root, src, seed, field) == 0
+    return src
+
+
+def outsource(root, src, seed=1, field=PRIME):
+    token, block_size = field
+    return main(
         [
             "outsource", "--root", str(root), "--meta", "file.meta",
             "--key", "client.key", "--n", "5", "--k", "3", "--stilde", "2",
@@ -40,8 +47,6 @@ def keygen_and_outsource(tmp_path, root, data=b"0123456789" * 60, seed=1, field=
             "--seed", str(seed), str(src),
         ]
     )
-    assert rc == 0
-    return src
 
 
 def audit(root, extra=()):
@@ -173,20 +178,20 @@ def test_interrupted_append_resumes_only_with_its_row(workspace, monkeypatch, fi
     keygen_and_outsource(tmp_path, root, field=field)
     row_a, row_b = write_rows(tmp_path, b"A", b"B")
     snapshot = depot_bytes(tmp_path)
-    write_share = store.write_share
+    share_bytes = store.share_bytes
     written = []
 
-    def fail_after_two(state, path):
+    def fail_after_two(state):
         if len(written) == 2:
             raise OSError("device gone")
-        write_share(state, path)
-        written.append(path)
+        written.append(state.j)
+        return share_bytes(state)
 
     # A write that fails after two servers are staged replaces no share and
     # leaves no staged file behind.
-    monkeypatch.setattr(store, "write_share", fail_after_two)
+    monkeypatch.setattr(store, "share_bytes", fail_after_two)
     assert append_file(root, row_a) == 4
-    monkeypatch.setattr(store, "write_share", write_share)
+    monkeypatch.setattr(store, "share_bytes", share_bytes)
     assert len(written) == 2
     assert depot_bytes(tmp_path) == snapshot
 
@@ -228,19 +233,19 @@ def test_interrupted_repair_changes_nothing(workspace, monkeypatch, tmp_path_fac
     out = tmp_path_factory.mktemp("out") / "restored.bin"
     repair = ["repair", "--root", str(root), "--meta", "file.meta", "--key", "client.key",
               "--out", str(out)]
-    write_share = store.write_share
+    share_bytes = store.share_bytes
     written = []
 
-    def fail_at_share_j(state, path):
+    def fail_at_share_j(state):
         if len(written) == j - 1:
             raise OSError("device gone")
-        write_share(state, path)
-        written.append(path)
+        written.append(state.j)
+        return share_bytes(state)
 
     # Shares are staged in server order; the write of share j fails.
-    monkeypatch.setattr(store, "write_share", fail_at_share_j)
+    monkeypatch.setattr(store, "share_bytes", fail_at_share_j)
     assert main(repair) == 4
-    monkeypatch.setattr(store, "write_share", write_share)
+    monkeypatch.setattr(store, "share_bytes", share_bytes)
     assert len(written) == j - 1
     assert depot_bytes(tmp_path) == snapshot  # also: no staged file is left
 
@@ -248,6 +253,96 @@ def test_interrupted_repair_changes_nothing(workspace, monkeypatch, tmp_path_fac
     assert out.read_bytes() == data
     meta = store.read_meta("file.meta")
     assert audit(root, extra=["--l", str(meta.r)]) == 0
+
+
+# The files outsource writes, in order: the shares of servers 1..5, then
+# the metadata.
+@pytest.mark.parametrize("j", [1, 3, 5, 6], ids=["share-1", "share-3", "share-5", "meta"])
+def test_failed_outsource_leaves_nothing(workspace, monkeypatch, j):
+    tmp_path, root = workspace
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"F" * 997)
+    assert main(["keygen", "--key", "client.key", "--seed", "7", "--field", ZP]) == 0
+    before = depot_bytes(tmp_path)
+    opened = []
+
+    def store_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" in mode:
+            opened.append(path)
+            if len(opened) == j:  # the file exists, its write fails
+                fh.close()
+                raise OSError(28, "No space left on device")
+        return fh
+
+    monkeypatch.setattr(store, "open", store_open, raising=False)
+    assert outsource(root, src) == 4
+    monkeypatch.delattr(store, "open")
+    assert len(opened) == j
+    # No share, no metadata and no staged file.
+    assert depot_bytes(tmp_path) == before
+
+
+def fail_renames_after(monkeypatch, j):
+    """Make ``os.replace`` fail once it has made j renames; returns the
+    real ``os.replace`` and the list of renamed paths."""
+    replace, done = os.replace, []
+
+    def replace_j(src, dst):
+        if len(done) == j:
+            raise OSError(5, "Input/output error")
+        replace(src, dst)
+        done.append(dst)
+
+    monkeypatch.setattr(os, "replace", replace_j)
+    return replace, done
+
+
+# append and repair rename n = 5 shares, then the metadata: rename j + 1 fails.
+@pytest.mark.parametrize("j", range(6))
+@pytest.mark.parametrize("field", [PRIME, BINARY], ids=["zp", "gf2:16"])
+@pytest.mark.parametrize("command", ["append", "repair"])
+def test_failure_after_rename_j(workspace, monkeypatch, tmp_path_factory, command, field, j):
+    tmp_path, root = workspace
+    data = b"E" * 997
+    keygen_and_outsource(tmp_path, root, data=data, field=field)
+    row_a, row_b = write_rows(tmp_path, b"A", b"B")
+    out = tmp_path_factory.mktemp("out") / "restored.bin"
+    repair = ["repair", "--root", str(root), "--meta", "file.meta", "--key", "client.key",
+              "--out", str(out)]
+    if command == "append":
+        argv = ["append", "--root", str(root), "--meta", "file.meta", "--key", "client.key",
+                str(row_a)]
+    else:
+        shutil.rmtree(root / "server_2")
+        argv = repair
+    snapshot = depot_bytes(tmp_path)
+
+    replace, done = fail_renames_after(monkeypatch, j)
+    assert main(argv) == 4
+    monkeypatch.setattr(os, "replace", replace)
+    assert len(done) == j
+    assert not list(tmp_path.rglob("*.staged"))
+    if j == 0:
+        assert depot_bytes(tmp_path) == snapshot
+
+    if command == "append":
+        # Once a share holds row A, row B is refused and nothing changes.
+        before = depot_bytes(tmp_path)
+        assert append_file(root, row_b) == (8 if j >= 1 else 0)
+        if j == 0:  # no share held row A: row B was a plain append; undo it
+            for path, raw in before.items():
+                path.write_bytes(raw)
+        assert depot_bytes(tmp_path) == before
+
+    assert main(argv) == 0
+    meta = store.read_meta("file.meta")
+    assert audit(root, extra=["--l", str(meta.r)]) == 0
+    if command == "append":
+        assert main(repair) == 0
+        row = row_a.read_bytes()
+        data = data.ljust(len(out.read_bytes()) - len(row), b"\0") + row
+    assert out.read_bytes() == data
 
 
 @pytest.mark.parametrize("field", [PRIME, BINARY], ids=["zp", "gf2:16"])
