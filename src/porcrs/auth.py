@@ -102,7 +102,9 @@ def prf_masks(
     PRF values of chunks first..first+count-1 of cell t, as a chunk vector.
     One keyed BLAKE2b state absorbs fid once per call, and each cell hashes
     a copy of it updated with row || server || ctr || u, so the bytes are
-    those of the per-cell definition above.
+    those of the per-cell definition above.  A digest is reduced mod p in
+    Z_p; in GF(2^w) its low w bits, the last w/8 bytes, are kept as one
+    big-endian word, whatever w is.
     """
     if len(fid) != 16:
         raise ParameterError("fid must be exactly 16 bytes")
@@ -113,6 +115,7 @@ def prf_masks(
     chunks = [_u8(u) for u in range(first, first + count)]
     out = []
     if isinstance(fld, BinaryField):
+        word = np.dtype(f">u{fld.element_size}")
         for row, ctr in cells:
             cell = base.copy()
             cell.update(row.to_bytes(8, "big") + sj + ctr.to_bytes(8, "big"))
@@ -124,10 +127,8 @@ def prf_masks(
                 buf[pos : pos + _DIGEST] = h.digest()
                 pos += _DIGEST
             raw = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(count, _DIGEST)
-            if fld.width == 8:
-                out.append(raw[:, 15].copy())
-            else:
-                out.append(raw[:, 14:16].copy().view(">u2").astype(np.uint16).ravel())
+            tail = raw[:, _DIGEST - word.itemsize :].copy()
+            out.append(tail.view(word).astype(fld.dtype).ravel())
         return out
     p = fld.order
     copy = base.copy

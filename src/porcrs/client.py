@@ -401,22 +401,13 @@ def _target_stilde(meta: FileMetadata) -> int:
     return min(grown, meta.field.order - meta.ktilde)
 
 
-def redistribute(sk: SecretKey, meta: FileMetadata, dumps) -> RedistributeResult | None:
-    """Recover the file from possibly corrupted dumps and re-share it.
-
-    Every cell is first checked against its expected tag context; failures
-    and absences become erasures.  Rows (dispersal code) and columns
-    (column code, valid on every server by linearity) are then erasure
-    decoded alternately until no progress remains.  Returns None when the
-    data cells cannot all be recovered -- never wrong data.
-    """
+def _decode_data_rows(sk: SecretKey, meta: FileMetadata, dumps):
+    """The k data blocks of each data row, decoded from the cells that pass
+    their tag check, or None when some data cell stays erased."""
     fld = meta.field
     n, k, r = meta.n, meta.k, meta.r
     ktilde, c = meta.ktilde, meta.chunks
-    if len(dumps) != n:
-        raise ParameterError(f"need a dump slot for each of the {n} servers")
-
-    blocks = [[None] * n for _ in range(r)]
+    blocks = [None] * (r * n)  # cell (i0, j0) at i0 * n + j0, both 0-based
     for j0, dump in enumerate(dumps):
         if dump is None:
             continue
@@ -428,60 +419,63 @@ def redistribute(sk: SecretKey, meta: FileMetadata, dumps) -> RedistributeResult
                 continue
             ctx = cell_context(meta.fid, ktilde, meta.ctr, i0 + 1, j0 + 1)
             if auth.verify_block(sk, block, tag, ctx, fld):
-                blocks[i0][j0] = block
+                blocks[i0 * n + j0] = block
 
-    row_code = crs.row_code(meta.s, k, fld)
-    col_code = crs.canonical_matrix(meta.stilde, ktilde, fld) if meta.stilde else None
+    # Each line is a code and the indices of its cells: the rows first, then
+    # the columns, which the column code covers on every server by linearity.
+    lines = [(crs.row_code(meta.s, k, fld), range(i0 * n, i0 * n + n)) for i0 in range(r)]
+    if meta.stilde:
+        col_code = crs.canonical_matrix(meta.stilde, ktilde, fld)
+        lines += [(col_code, range(j0, r * n, n)) for j0 in range(n)]
     # A wiped server erases the same position in every row: one plan per
     # (code, erasure mask) serves them all.
     plans: dict[tuple, crs.RecoveryPlan] = {}
-
-    def plan_for(code, present):
-        key = (code is col_code, tuple(present))
-        plan = plans.get(key)
-        if plan is None:
-            plan = plans[key] = code.recovery_plan(present)
-        return plan
-
     changed = True
     while changed:
         changed = False
-        for i0 in range(r):
-            row = blocks[i0]
-            present = [v is not None for v in row]
-            have = sum(present)
-            if have < n and have >= k:
-                plan = plan_for(row_code, present)
-                message = plan.apply_vectors(row)
-                blocks[i0] = row_code.encode_vectors(message)
-                changed = True
-        for j0 in range(n):
-            col = [blocks[i0][j0] for i0 in range(r)]
-            present = [v is not None for v in col]
-            have = sum(present)
-            if col_code is not None and have < r and have >= ktilde:
-                plan = plan_for(col_code, present)
-                message = plan.apply_vectors(col)
-                full = col_code.encode_vectors(message)
-                for i0 in range(r):
-                    blocks[i0][j0] = full[i0]
-                changed = True
+        for code, cells in lines:
+            line = [blocks[t] for t in cells]
+            present = tuple(v is not None for v in line)
+            if not code.k_cols <= sum(present) < len(line):
+                continue
+            plan = plans.get((code, present))
+            if plan is None:
+                plan = plans[code, present] = code.recovery_plan(present)
+            for t, v in zip(cells, code.encode_vectors(plan.apply_vectors(line))):
+                blocks[t] = v
+            changed = True
 
-    if any(
-        blocks[i0][j0] is None for i0 in range(ktilde) for j0 in range(k)
-    ):
+    data_rows = [blocks[i0 * n : i0 * n + k] for i0 in range(ktilde)]
+    if any(v is None for row in data_rows for v in row):
+        return None
+    return data_rows
+
+
+def redistribute(sk: SecretKey, meta: FileMetadata, dumps) -> RedistributeResult | None:
+    """Recover the file from possibly corrupted dumps and re-share it.
+
+    Every cell is first checked against its expected tag context; failures
+    and absences become erasures.  Rows (dispersal code) and columns
+    (column code, valid on every server by linearity) are then erasure
+    decoded alternately until no progress remains.  Returns None when the
+    data cells cannot all be recovered -- never wrong data.
+    """
+    fld = meta.field
+    if len(dumps) != meta.n:
+        raise ParameterError(f"need a dump slot for each of the {meta.n} servers")
+    data_rows = _decode_data_rows(sk, meta, dumps)
+    if data_rows is None:
         return None
 
     payload = bytearray()
-    for i0 in range(ktilde):
-        for j0 in range(k):
-            payload += fld.chunks_to_payload(blocks[i0][j0])
+    for row in data_rows:
+        for v in row:
+            payload += fld.chunks_to_payload(v)
     data = bytes(payload[: meta.original_length])
 
     stilde_new = _target_stilde(meta)
     ctr_new = meta.ctr + 1
-    data_rows = [[blocks[i0][j0] for j0 in range(k)] for i0 in range(ktilde)]
-    grid = _product_encode(fld, data_rows, n, k, stilde_new)
-    shares = _tag_grid(sk, fld, meta.fid, grid, ktilde, parity_ctr=ctr_new)
+    grid = _product_encode(fld, data_rows, meta.n, meta.k, stilde_new)
+    shares = _tag_grid(sk, fld, meta.fid, grid, meta.ktilde, parity_ctr=ctr_new)
     fresh = replace(meta, stilde=stilde_new, ctr=ctr_new, audit_history={})
     return RedistributeResult(data=data, meta=fresh, shares=shares)

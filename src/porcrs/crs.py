@@ -187,7 +187,7 @@ class DistributionMatrix:
 
     # -- erasure decoding ------------------------------------------------
 
-    def recovery_plan(self, present: list[bool]) -> "RecoveryPlan":
+    def recovery_plan(self, present: Sequence[bool]) -> "RecoveryPlan":
         """Choose k rows and solve for the erased message positions.
 
         Surviving systematic rows are used as-is; remaining rank comes from
@@ -239,7 +239,13 @@ class RecoveryPlan:
     _coeffs: list[list[tuple[int, int]]] | None = dc_field(default=None, repr=False)
 
     def coefficients(self) -> list[list[tuple[int, int]]]:
-        """Per message position: [(codeword_row, coefficient), ...]."""
+        """Per message position: [(codeword_row, coefficient), ...].
+
+        An erased position's terms come in codeword-row order, zero
+        coefficients left out: each present systematic row j' with
+        -sum_l w_l a_lj', then each chosen parity row l with w_l, its
+        weight in inv_sub.
+        """
         if self._coeffs is not None:
             return self._coeffs
         m, fld = self.matrix, self.matrix.field
@@ -248,19 +254,16 @@ class RecoveryPlan:
         for j in self.have_sys:
             out[j] = [(j, 1)]
         rows = [m.cauchy_row(i) for i in self.parity_rows]
-        for row_idx, j in enumerate(self.erased):
+        for j, weights in zip(self.erased, self.inv_sub):
             terms: list[tuple[int, int]] = []
-            for col_idx, i in enumerate(self.parity_rows):
-                w = self.inv_sub[row_idx][col_idx]
-                if w == 0:
-                    continue
-                terms.append((k + i, w))
-                row = rows[col_idx]
-                for jp in self.have_sys:
-                    coeff = fld.neg(fld.mul(w, row[jp]))
-                    if coeff:
-                        terms.append((jp, coeff))
-            out[j] = _merge_terms(terms, fld)
+            for jp in self.have_sys:
+                coeff = 0
+                for w, row in zip(weights, rows):
+                    coeff = fld.sub(coeff, fld.mul(w, row[jp]))
+                if coeff:
+                    terms.append((jp, coeff))
+            terms += [(k + i, w) for i, w in zip(self.parity_rows, weights) if w]
+            out[j] = terms
         self._coeffs = out
         return out
 
@@ -273,13 +276,6 @@ class RecoveryPlan:
             vecs = [vectors[row] for row, _ in terms]
             out.append(fld.vec_combine(coeffs, vecs))
         return out
-
-
-def _merge_terms(terms, fld):
-    acc: dict[int, int] = {}
-    for row, coeff in terms:
-        acc[row] = fld.add(acc.get(row, 0), coeff)
-    return [(row, c) for row, c in sorted(acc.items()) if c]
 
 
 def _invert(mat: list[list[int]], fld: Field) -> list[list[int]]:

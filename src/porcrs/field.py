@@ -12,9 +12,10 @@ Two field kinds are supported, selected by a compact token:
 Scalars are plain Python ints in canonical reduced form.  Bulk data (block
 and tag chunk vectors) moves through the ``vec_*`` methods: tuples of ints
 for prime fields, numpy arrays for binary fields.  Treat returned vectors
-as immutable.  GF(2^16) multiplies via log/antilog tables, GF(2^8) via a
-full 256x256 product table; tables are built once per process and never
-mutated, so field objects are safe to share across threads.
+as immutable.  Both binary widths multiply through one pair of log/antilog
+tables, zero included (see :class:`BinaryField`); tables are built once
+per process and never mutated, so field objects are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -325,9 +326,12 @@ class PrimeField(Field):
 class BinaryField(Field):
     """GF(2^w) for w in {8, 16}; vectors are numpy arrays.
 
-    Addition and subtraction are XOR.  Multiplication uses tables built once
-    at construction: log/antilog for w=16, plus a dense product table for
-    w=8 (the antilog table is doubled so index sums need no modulo).
+    Addition and subtraction are XOR.  Multiplication is one lookup,
+    ``exp[log[a] + log[b]]``, in tables built once at construction.  The
+    antilog table runs through the generator's cycle twice, so a sum of
+    two logs needs no modulo, and is zero from index 2(order - 1) onward.
+    log(0) is the sentinel 2(order - 1): any sum with it lands in the zero
+    tail, so a zero factor needs no test.
     """
 
     kind = "binary"
@@ -346,11 +350,14 @@ class BinaryField(Field):
         self._build_tables()
 
     def _build_tables(self):
-        order, poly, w = self.order, self.poly, self.width
-        exp = np.zeros(2 * (order - 1), dtype=self.dtype)
-        log = np.zeros(order, dtype=np.int32)
+        order, poly = self.order, self.poly
+        cycle = order - 1
+        # Index sums reach 2 * log(0) = 4 * cycle; the tail past the two
+        # cycles stays zero.
+        exp = np.zeros(4 * cycle + 1, dtype=self.dtype)
+        log = np.full(order, 2 * cycle, dtype=np.int32)
         x = 1
-        for i in range(order - 1):
+        for i in range(cycle):
             exp[i] = x
             log[x] = i
             x <<= 1
@@ -358,15 +365,10 @@ class BinaryField(Field):
                 x ^= poly
         if x != 1:
             raise AssertionError("reduction polynomial is not primitive")
-        exp[order - 1 :] = exp[: order - 1]
+        exp[cycle : 2 * cycle] = exp[:cycle]
         inv = np.zeros(order, dtype=self.dtype)
-        inv[1:] = exp[(order - 1) - log[1:]]
+        inv[1:] = exp[cycle - log[1:]]
         self._exp, self._log, self._inv = exp, log, inv
-        if w == 8:
-            prod = exp[log[:, None] + log[None, :]].astype(np.uint8)
-            prod[0, :] = 0
-            prod[:, 0] = 0
-            self._prod = prod
 
     def add(self, a, b):
         return a ^ b
@@ -377,8 +379,6 @@ class BinaryField(Field):
         return a
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
         return int(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a):
@@ -406,25 +406,14 @@ class BinaryField(Field):
     vec_sub = vec_add
 
     def vec_scale(self, s, v):
-        if s == 0:
-            return self.vec_zeros(len(v))
-        if self.width == 8:
-            return self._prod[s][v]
-        return np.where(v == 0, 0, self._exp[self._log[v] + self._log[s]])
+        return self._exp[self._log[v] + self._log[s]]
 
     def vec_combine(self, coeffs, vecs):
         mat = vecs if isinstance(vecs, np.ndarray) else np.stack(vecs)
         if len(coeffs) != mat.shape[0]:
             raise ParameterError("one coefficient per vector required")
-        co = np.asarray(coeffs, dtype=np.int64)
-        if self.width == 8:
-            prods = self._prod[co[:, None], mat]
-        else:
-            prods = np.where(
-                (mat == 0) | (co[:, None] == 0),
-                0,
-                self._exp[self._log[mat] + self._log[co][:, None]],
-            )
+        logs = self._log[np.asarray(coeffs, dtype=np.int64)]
+        prods = self._exp[self._log[mat] + logs[:, None]]
         return np.bitwise_xor.reduce(prods, axis=0)
 
     def vec_stack(self, vecs):

@@ -19,10 +19,10 @@ Every write goes through ``replace_files``: it writes each new file to
 ``staged_path(path)`` and renames the staged files over their paths only
 once all are staged, so a file on disk is always complete.  ``outsource``,
 ``append`` and ``repair`` commit this way, their metadata last: a failure
-before the first rename changes no file; after it, ``append`` and
-``repair`` finish when run again, and an ``outsource`` leaves no
-metadata.  Two porcrs commands must not run on one depot at once: they
-share the staged names.
+before the first rename changes no file; after it, the files the call
+created are removed again, ``append`` and ``repair`` finish when run
+again, and an ``outsource`` leaves no share and no metadata.  Two porcrs
+commands must not run on one depot at once: they share the staged names.
 
 Client metadata is line-oriented ``key=value`` text; the table ``_META``
 fixes its keys, their order and their syntax, so equal states serialize
@@ -60,23 +60,26 @@ def replace_files(stages) -> None:
     ``stages`` maps each path to a callable that returns the file's new
     bytes, or None to leave it as it is; each result is written out
     (making its directory) before the next stage runs.  On any exception
-    every staged file is removed and the error re-raised.
+    every staged file is removed, and so is every file renamed into a path
+    that held no file before the call; then the error is re-raised.
     """
+    staged, created = [], []
     try:
-        staged = []
         for path, stage in stages.items():
             data = stage()
             if data is not None:
                 os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
                 with open(staged_path(path), "wb") as fh:
                     fh.write(data)
-                staged.append(path)
-        for path in staged:
+                staged.append((path, os.path.lexists(path)))
+        for path, existed in staged:
             os.replace(staged_path(path), path)
+            if not existed:
+                created.append(path)
     except BaseException:
-        for path in stages:
+        for path in [*map(staged_path, stages), *created]:
             with contextlib.suppress(OSError):
-                os.remove(staged_path(path))
+                os.remove(path)
         raise
 
 

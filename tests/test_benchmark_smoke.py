@@ -31,14 +31,11 @@ def _check_result(workload, trace):
     result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_refuse_constant)
     assert result["correct"] is True
     assert result["failed"] == 0
-    if trace == 0:
-        wanted = {metric["name"] for metric in BENCHMARK["end_to_end"]}
-    else:
-        # The tracer finds store functions by name and skips a missing one.
-        wanted = {metric["name"] for metric in BENCHMARK["per_layer"]
-                  if metric["name"].startswith("store.")}
-        assert wanted
-    assert wanted <= set(result["metrics"])
+    # The tracer finds functions by name and skips a missing one, so a
+    # renamed or deleted layer function shows here as a missing metric.
+    wanted = {metric["name"] for metric in BENCHMARK["per_layer" if trace else "end_to_end"]}
+    assert wanted
+    assert wanted <= set(result["metrics"]), sorted(wanted - set(result["metrics"]))
 
 
 @pytest.mark.parametrize("trace", [0, 1])

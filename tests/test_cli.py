@@ -298,6 +298,30 @@ def fail_renames_after(monkeypatch, j):
     return replace, done
 
 
+# outsource renames n = 5 shares, then the metadata: rename j + 1 fails.
+@pytest.mark.parametrize("j", [1, 3, 5], ids=["share-1", "share-3", "share-5"])
+def test_outsource_failing_after_rename_j_leaves_nothing(workspace, monkeypatch, j):
+    tmp_path, root = workspace
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"F" * 997)
+    assert main(["keygen", "--key", "client.key", "--seed", "7", "--field", ZP]) == 0
+    before = depot_bytes(tmp_path)
+
+    replace, done = fail_renames_after(monkeypatch, j)
+    assert outsource(root, src) == 4
+    monkeypatch.setattr(os, "replace", replace)
+    assert len(done) == j
+    # No share, no metadata and no staged file.
+    assert depot_bytes(tmp_path) == before
+
+    assert outsource(root, src) == 0
+    meta = store.read_meta("file.meta")
+    for server in range(1, meta.n + 1):
+        share = Path(store.share_path(root, server, meta.fid))
+        assert list(share.parent.iterdir()) == [share]
+    assert audit(root, extra=["--l", str(meta.r)]) == 0
+
+
 # append and repair rename n = 5 shares, then the metadata: rename j + 1 fails.
 @pytest.mark.parametrize("j", range(6))
 @pytest.mark.parametrize("field", [PRIME, BINARY], ids=["zp", "gf2:16"])

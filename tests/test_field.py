@@ -83,6 +83,33 @@ def test_gf16_multiply_matches_clmul_oracle():
         assert GF16.mul(a, b) == clmul_reduce(a, b, 0x1100B, 16)
 
 
+def _multiply_operands(fld):
+    """Every element of GF(2^8); a seeded sample of GF(2^16) with 0 and 1."""
+    if fld.order <= 256:
+        return list(range(fld.order))
+    rng = random.Random(13)
+    return [0, 1, fld.order - 1, *(rng.randrange(2, fld.order - 1) for _ in range(61))]
+
+
+@pytest.mark.parametrize("fld", [GF8, GF16], ids=lambda f: f.token)
+def test_every_multiply_path_matches_shift_and_xor(fld):
+    values = _multiply_operands(fld)
+    oracle = {a: [clmul_reduce(a, b, fld.poly, fld.width) for b in values] for a in values}
+    vec = fld.vec_from_ints(values)  # zero among the entries
+    for a in values:  # zero among the scalars
+        assert [fld.mul(a, b) for b in values] == oracle[a]
+        assert fld.vec_to_ints(fld.vec_scale(a, vec)) == oracle[a]
+        assert fld.vec_to_ints(fld.vec_combine([a], [vec])) == oracle[a]
+    # Row t pairs coefficient values[t] with the entries rotated by t.
+    rows = [np.roll(vec, -t) for t in range(len(values))]
+    expect = [0] * len(values)
+    for t, a in enumerate(values):
+        for u in range(len(values)):
+            expect[u] ^= oracle[a][(u + t) % len(values)]
+    assert fld.vec_to_ints(fld.vec_combine(values, rows)) == expect
+    assert fld.vec_to_ints(fld.vec_combine(values, np.stack(rows))) == expect
+
+
 def test_gf16_inverse_property():
     rng = random.Random(4)
     for _ in range(1000):
