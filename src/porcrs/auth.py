@@ -23,9 +23,14 @@ One kernel, prf_masks, computes the masks of many cells of one server's
 column: it keys one BLAKE2b state and feeds it fid once per call, and each
 cell then hashes a copy of that state, updated with i || j || ctr || u.
 The bytes hashed are those above, so the masks are unchanged; a batch
-saves the key-block compression and the per-cell set-up.  prf, prf_vector,
-tag_block, tag_delta and verify_block are one-cell wrappers over it, and
-the client calls it once per server for outsource, append and audit.
+saves the key-block compression and the per-cell set-up.  The chunk
+suffixes u are built per call; no module-level table holds them.  In
+GF(2^w) each cell's chunks go through three C-level passes, 256 chunks
+at a time: copy the cell state, update each copy, join the digests.
+prf, prf_vector, tag_block, tag_delta and verify_block are one-cell
+wrappers over it, and the client calls it once per server for outsource,
+append and audit.  Audits send only data cells (counter 0, a context
+that never changes) through the mask cache.
 
 alpha is never 0: with alpha = 0 a tag is its mask alone, and any block
 would verify.
@@ -36,8 +41,9 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -84,13 +90,19 @@ def keygen(fld: Field, rng=None) -> SecretKey:
     return SecretKey(fld.rand_nonzero(rng), rng.getrandbits(256).to_bytes(32, "big"))
 
 
-_U8: list[bytes] = []
+# Chunk states alive at once in GF(2^w): 256 BLAKE2b objects take 112 KiB.
+# With a whole 2048-chunk cell at once, the allocator kept about 2 MiB more
+# after archive-gf2's set-up, memory those objects had used.
+_GROUP = 256
 
 
-def _u8(u: int) -> bytes:
-    while len(_U8) <= u:
-        _U8.append(len(_U8).to_bytes(8, "big"))
-    return _U8[u]
+def _digests(cell, suffixes) -> bytes:
+    """Digests of copies of the state cell, copy t updated with suffix t,
+    in three C-level passes: copy, update, join."""
+    blake = hashlib.blake2b
+    states = list(map(blake.copy, repeat(cell, len(suffixes))))
+    deque(map(blake.update, states, suffixes), maxlen=0)
+    return b"".join(map(blake.digest, states))
 
 
 def prf_masks(
@@ -102,9 +114,12 @@ def prf_masks(
     PRF values of chunks first..first+count-1 of cell t, as a chunk vector.
     One keyed BLAKE2b state absorbs fid once per call, and each cell hashes
     a copy of it updated with row || server || ctr || u, so the bytes are
-    those of the per-cell definition above.  A digest is reduced mod p in
-    Z_p; in GF(2^w) its low w bits, the last w/8 bytes, are kept as one
-    big-endian word, whatever w is.
+    those of the per-cell definition above.  The 8-byte chunk suffixes u
+    are built once per call.  A digest is reduced mod p in Z_p.  In
+    GF(2^w) a cell's chunk states go through three C-level passes (copy
+    the cell state, update each copy with its suffix, join the digests),
+    _GROUP chunks at a time, and the low w bits of each digest, its last
+    w/8 bytes, are kept as one big-endian word, whatever w is.
     """
     if len(fid) != 16:
         raise ParameterError("fid must be exactly 16 bytes")
@@ -112,21 +127,16 @@ def prf_masks(
         raise ParameterError("context indices must be nonnegative")
     base = hashlib.blake2b(fid, key=kprf, digest_size=_DIGEST)
     sj = server.to_bytes(8, "big")
-    chunks = [_u8(u) for u in range(first, first + count)]
+    chunks = list(map(int.to_bytes, range(first, first + count), repeat(8), repeat("big")))
     out = []
     if isinstance(fld, BinaryField):
         word = np.dtype(f">u{fld.element_size}")
+        groups = [chunks[lo : lo + _GROUP] for lo in range(0, count, _GROUP)]
         for row, ctr in cells:
             cell = base.copy()
             cell.update(row.to_bytes(8, "big") + sj + ctr.to_bytes(8, "big"))
-            buf = bytearray(_DIGEST * count)
-            pos = 0
-            for u8 in chunks:
-                h = cell.copy()
-                h.update(u8)
-                buf[pos : pos + _DIGEST] = h.digest()
-                pos += _DIGEST
-            raw = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(count, _DIGEST)
+            digests = b"".join([_digests(cell, group) for group in groups])
+            raw = np.frombuffer(digests, dtype=np.uint8).reshape(count, _DIGEST)
             tail = raw[:, _DIGEST - word.itemsize :].copy()
             out.append(tail.view(word).astype(fld.dtype).ravel())
         return out

@@ -17,11 +17,12 @@ import argparse
 import functools
 import os
 import random
+import statistics
 import sys
 import time
 
 from . import client, harness, store
-from .auth import read_keyfile, write_keyfile, keygen, clear_prf_cache
+from .auth import read_keyfile, write_keyfile, keygen, clear_prf_cache, prf_masks
 from .server import apply_append, prove
 from .errors import (
     CapacityError,
@@ -274,6 +275,17 @@ def cmd_bench(args) -> int:
             )
             rows.append((size, l, "prove", prove_s))
             rows.append((size, l, "verify", verify_s))
+    # The PRF layer alone: one server's masks at this block size, per cell.
+    chunks = client.chunks_per_block(fld, args.block_size)
+    per_cell = []
+    for batch in range(5):
+        cells = [(16 * batch + t, 0) for t in range(1, 17)]
+        t0 = time.perf_counter()
+        prf_masks(sk.kprf, bytes(16), 1, cells, chunks, fld)
+        per_cell.append((time.perf_counter() - t0) / len(cells))
+    prf_cell_s = statistics.median(per_cell)
+    print(f"prf_masks: {prf_cell_s * 1e6:.1f} us per cell of {chunks} chunks")
+    rows.append((0, 0, "prf_cell", prf_cell_s))
     cost = harness.account_append_cost(
         harness.HarnessConfig(
             field_token=fld.token,

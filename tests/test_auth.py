@@ -284,6 +284,35 @@ def test_prf_vector_known_answer_binary(fld, expected):
     assert fld.vec_to_ints(prf_vector(KAT_KEY, KAT_CTX, 4, fld)) == expected
 
 
+FULL_CELLS = [((1 << 32) + 7, 3), (1, 0), (40, 9)]
+
+
+@pytest.mark.parametrize(
+    "fld, digest, tail",
+    [
+        (
+            GF8,
+            "349ca2551f188a833c8564af32da081c708fd78f246700e265d307c6305d06dd",
+            [[187, 141, 35], [228, 169, 76], [186, 77, 183]],
+        ),
+        (
+            GF16,
+            "1f59fd6068bcef6fd0dce946c8b9cf3fa264cd2df51858e56c60c9089e76c189",
+            [[47547, 12429, 3619], [36068, 28073, 36684], [51642, 31821, 50359]],
+        ),
+    ],
+    ids=["gf2:8", "gf2:16"],
+)
+def test_prf_masks_known_answer_full_width(fld, digest, tail):
+    # A whole 2048-chunk cell, as a gf2:16 4 KiB block has, and the last
+    # three chunks of it on their own: SHA-256 of the stored encoding.
+    full = auth.prf_masks(KAT_KEY, KAT_FID, 5, FULL_CELLS, 2048, fld)
+    assert hashlib.sha256(fld.vectors_to_bytes(full)).hexdigest() == digest
+    last = auth.prf_masks(KAT_KEY, KAT_FID, 5, FULL_CELLS, 3, fld, first=2045)
+    assert [fld.vec_to_ints(v) for v in last] == tail
+    assert [fld.vec_to_ints(v)[2045:] for v in full] == tail
+
+
 @pytest.mark.parametrize(
     "fld, alpha, block, delta, tag, moved",
     [
@@ -367,19 +396,23 @@ def test_prf_masks_match_per_cell_blake2b(fld):
     # The PRF's definition, one cell and one chunk at a time: keyed BLAKE2b
     # with a 16-byte digest over fid || row || server || ctr || u, read as a
     # big-endian integer and reduced mod p, or to its low w bits.
+    # 257 chunks span more than one of the kernel's chunk groups.
     rng = random.Random(15)
     key, fid = rng.randbytes(32), rng.randbytes(16)
-    server, count = rng.randrange(1, 100), 3
+    server = rng.randrange(1, 100)
     cells = [(rng.randrange(1, 1 << 40), rng.randrange(5)) for _ in range(40)]
-    masks = auth.prf_masks(key, fid, server, cells, count, fld)
-    for (row, ctr), vec in zip(cells, masks):
-        want = []
-        for u in range(count):
-            msg = b"".join(x.to_bytes(8, "big") for x in (row, server, ctr, u))
-            digest = hashlib.blake2b(fid + msg, key=key, digest_size=16).digest()
-            value = int.from_bytes(digest, "big")
-            want.append(value % fld.order if fld.kind == "prime" else value & (fld.order - 1))
-        assert fld.vec_to_ints(vec) == want
+    for count, first in ((3, 0), (257, 0), (257, 200)):
+        masks = auth.prf_masks(key, fid, server, cells, count, fld, first=first)
+        for (row, ctr), vec in zip(cells, masks):
+            want = []
+            for u in range(first, first + count):
+                msg = b"".join(x.to_bytes(8, "big") for x in (row, server, ctr, u))
+                digest = hashlib.blake2b(fid + msg, key=key, digest_size=16).digest()
+                value = int.from_bytes(digest, "big")
+                want.append(
+                    value % fld.order if fld.kind == "prime" else value & (fld.order - 1)
+                )
+            assert fld.vec_to_ints(vec) == want
 
 
 @pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)

@@ -567,8 +567,13 @@ def test_bench_writes_table(workspace, capsys):
     rows = open("bench.tsv").read().splitlines()
     assert rows[0] == "file_bytes\tquery_size\tphase\tseconds"
     assert any("prove" in row for row in rows)
+    prf_rows = [row.split("\t") for row in rows if "\tprf_cell\t" in row]
+    assert len(prf_rows) == 1
+    size, l, _, secs = prf_rows[0]
+    assert (size, l) == ("0", "0") and float(secs) > 0
     out = capsys.readouterr().out
     assert "append bytes" in out
+    assert "us per cell of 32 chunks" in out
 
 
 def test_cli_audit_matches_in_process_audit(workspace, capsys):

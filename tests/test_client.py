@@ -298,6 +298,60 @@ def test_verify_detects_stale_parity():
     assert audit_once(sk, meta, servers, q_data) == [True] * 5
 
 
+@pytest.mark.parametrize("token", ["zp", "gf2:16"])
+def test_verify_caches_only_data_cell_masks(token, monkeypatch):
+    # A parity cell's tag context moves with every append, so its cached
+    # mask could never be looked up again: only counter-0 data cells may
+    # reach the PRF cache, and putting them first must not move a verdict.
+    fld = M61 if token == "zp" else binary_field(16)
+    rng = random.Random(27)
+    sk, params = setup(fld, 6, 4, 3, block_size=8, rng=rng)
+    meta, shares = outsource(sk, params, rng.randbytes(120), rng=rng)
+    servers = client.make_server_states(meta, shares)
+    stale = list(servers[2].cells[meta.ktilde :])
+    payload = client.block_payload_size(fld, meta.chunks) * meta.k
+    orders = client.append(
+        sk, meta, client.row_blocks_from_payload(meta, rng.randbytes(payload))
+    )
+    for state, order in zip(servers, orders):
+        server.apply_append(state, order)
+    assert meta.ctr >= 1
+    servers[2].cells[meta.ktilde :] = stale  # keeps its pre-append parity
+    cached = []
+    kernel = auth.prf_masks_cached
+
+    def spy(kprf, fid, j, cells, count, fld):
+        cached.extend(cells)
+        return kernel(kprf, fid, j, cells, count, fld)
+
+    monkeypatch.setattr(auth, "prf_masks_cached", spy)
+    auth.clear_prf_cache()
+    data_rows, parity_rows = range(1, meta.ktilde + 1), range(meta.ktilde + 1, meta.r + 1)
+    for _ in range(4):
+        rows = rng.sample(data_rows, 3) + rng.sample(parity_rows, 2)
+        rng.shuffle(rows)
+        q = client.ChallengeSet(0, tuple((i, fld.rand_nonzero(rng)) for i in rows))
+        proof = [server.prove(state, q) for state in servers]
+        oracle = []
+        for state, (_, sigma) in zip(servers, proof):
+            want = fld.vec_combine(
+                [nu for _, nu in q.entries],
+                [
+                    auth.tag_block(
+                        sk,
+                        state.cells[i - 1][0],
+                        cell_context(meta.fid, meta.ktilde, meta.ctr, i, state.j),
+                        fld,
+                    )
+                    for i, _ in q.entries
+                ],
+            )
+            oracle.append(fld.vec_eq(sigma, want))
+        assert verify(sk, meta, q, proof) == oracle
+        assert oracle == [True, True, False, True, True, True]
+    assert cached and all(ctr == 0 and row <= meta.ktilde for row, ctr in cached)
+
+
 def test_verify_counts_absent_servers_as_failures():
     rng = random.Random(12)
     sk, params = setup(M61, 5, 3, 2, rng=rng)
