@@ -43,7 +43,7 @@ import os
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -196,16 +196,24 @@ def clear_prf_cache() -> None:
 
 
 def tags_from_masks(alpha: int, masks, blocks, fld: Field) -> list:
-    """mask + alpha * block for each cell: the tag formula, cell by cell."""
+    """mask + alpha * block for each cell: the tag formula.
+
+    In Z_p one flat pass covers every chunk of every cell; each cell's mask
+    and block must still have the same chunk count.
+    """
     if isinstance(fld, BinaryField):
         return [
             fld.vec_add(m, fld.vec_scale(alpha, b)) for m, b in zip(masks, blocks, strict=True)
         ]
+    lengths = list(map(len, masks))
+    if lengths != list(map(len, blocks)):
+        raise ParameterError("each cell's mask and block must have the same chunk count")
     p = fld.order
-    return [
-        tuple([(x + alpha * y) % p for x, y in zip(m, b, strict=True)])
-        for m, b in zip(masks, blocks, strict=True)
-    ]
+    pairs = zip(chain.from_iterable(masks), chain.from_iterable(blocks))
+    tags = iter([(x + alpha * y) % p for x, y in pairs])
+    if len(set(lengths)) == 1 and lengths[0]:
+        return list(zip(*[tags] * lengths[0]))  # cut into cells of equal length
+    return [tuple(islice(tags, c)) for c in lengths]
 
 
 def tag_block(sk: SecretKey, block, ctx: TagContext, fld: Field):

@@ -254,7 +254,8 @@ def cmd_bench(args) -> int:
         meta, shares = client.outsource(sk, params, data, rng=rng)
         outsource_s = time.perf_counter() - t0
         servers = client.make_server_states(meta, shares)
-        print(f"|F|={size}: outsource {outsource_s:.3f}s, r={meta.r}")
+        mib_s = size / 2**20 / outsource_s
+        print(f"|F|={size}: outsource {outsource_s:.3f}s ({mib_s:.2f} MiB/s), r={meta.r}")
         rows.append((size, 0, "outsource", outsource_s))
         for l in queries:
             if l > meta.r:

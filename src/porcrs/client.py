@@ -179,15 +179,17 @@ def cell_context(fid: bytes, ktilde: int, ctr: int, i: int, j: int) -> TagContex
     return TagContext(fid, i, j, cell_ctr(ktilde, ctr, i))
 
 
+def _payload_blocks(fld: Field, data: bytes, chunks: int) -> list:
+    """Payload bytes parsed in one pass, cut into blocks of chunks elements."""
+    flat = fld.chunks_from_payload(data)
+    return [flat[t : t + chunks] for t in range(0, len(flat), chunks)]
+
+
 def _split_blocks(fld: Field, data: bytes, k: int, chunks: int):
     """Pad to a whole number of k-block rows and split into chunk vectors."""
-    payload = block_payload_size(fld, chunks)
-    row_bytes = payload * k
+    row_bytes = block_payload_size(fld, chunks) * k
     padded = data + b"\x00" * (-len(data) % row_bytes)
-    blocks = [
-        fld.chunks_from_payload(padded[off : off + payload])
-        for off in range(0, len(padded), payload)
-    ]
+    blocks = _payload_blocks(fld, padded, chunks)
     return [blocks[t : t + k] for t in range(0, len(blocks), k)]
 
 
@@ -271,10 +273,7 @@ def row_blocks_from_payload(meta: FileMetadata, data: bytes):
         raise ParameterError(
             f"append row must be exactly {payload * meta.k} bytes, got {len(data)}"
         )
-    return [
-        fld.chunks_from_payload(data[off : off + payload])
-        for off in range(0, len(data), payload)
-    ]
+    return _payload_blocks(fld, data, meta.chunks)
 
 
 def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
@@ -473,11 +472,8 @@ def redistribute(sk: SecretKey, meta: FileMetadata, dumps) -> RedistributeResult
     if data_rows is None:
         return None
 
-    payload = bytearray()
-    for row in data_rows:
-        for v in row:
-            payload += fld.chunks_to_payload(v)
-    data = bytes(payload[: meta.original_length])
+    flat = fld.vec_concat([v for row in data_rows for v in row])
+    data = fld.chunks_to_payload(flat)[: meta.original_length]
 
     stilde_new = _target_stilde(meta)
     ctr_new = meta.ctr + 1

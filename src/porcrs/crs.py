@@ -13,18 +13,29 @@ entries -- the new y simply continues downward from the top of the field.
 :func:`canonical_matrix` holds them in closed form, as ``range`` objects
 checked by their bounds, so building, extending and reading single
 entries take time and memory independent of k; Cauchy rows are computed
-only when asked for, with one batch inversion per row.  Explicit X/Y sets
-are accepted for library use and test vectors.
+only when asked for.  Over Z_p the canonical grid is Hankel, entry (i, j)
+being 1 / (i + j + 1), so all its rows are slices of one table of s + k - 1
+inverses; otherwise each row takes one batch inversion.  Over Z_p the
+encode computes all parity rows in one pass of big-int sums (see
+DistributionMatrix._packed_parity).  Explicit X/Y sets are accepted for
+library use and test vectors.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 from .errors import CapacityError, ParameterError, UnrecoverableError
-from .field import Field
+from .field import Field, PrimeField
+
+# Parity rows per packed int in the Z_p encode (see _packed_parity).  More
+# rows take several groups, each built when used and cached only when it is
+# the only one: at 2x10^4 inputs and s = 2,000, all packed ints together
+# would take about 700 MB.
+_PACKED_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -91,7 +102,10 @@ def canonical_sets(s: int, k: int, fld: Field) -> CauchySets:
 class DistributionMatrix:
     """Identity over Cauchy; immutable once built (extend returns a copy).
 
-    Cauchy rows are materialized lazily and cached per matrix.
+    Cauchy rows are materialized lazily.  With the canonical sets over Z_p
+    every row is a slice of one table of s + k - 1 inverses, built with one
+    batch inversion on first use; otherwise each row is inverted on its own
+    and cached per matrix.
     """
 
     def __init__(self, sets: CauchySets, fld: Field):
@@ -102,17 +116,39 @@ class DistributionMatrix:
         self.field = fld
         self.k_cols = len(sets.ys)
         self.n_rows = self.k_cols + len(sets.xs)
+        self._table: list[int] | None = None
         self._rows: dict[int, list[int]] = {}
         self._last_col: list[int] | None = None
+        self._packed: list[int] | None = None  # see _packed_group
 
     @property
     def s_rows(self) -> int:
         return self.n_rows - self.k_cols
 
+    @functools.cached_property
+    def _hankel(self) -> bool:
+        """The canonical sets in closed form over Z_p: see _inverse_table."""
+        fld = self.field
+        return isinstance(fld, PrimeField) and self.sets == _canonical_ranges(
+            self.s_rows, self.k_cols, fld
+        )
+
+    def _inverse_table(self) -> list[int]:
+        """h[t] = 1 / (t + 1) for t = 0 .. s + k - 2, one batch inversion.
+
+        With the canonical sets over Z_p, x_i - y_j = i - (p - 1 - j) =
+        i + j + 1 mod p, so Cauchy entry (i, j) is h[i + j]: a Hankel grid.
+        """
+        if self._table is None:
+            self._table = self.field.inv_many(range(1, self.n_rows))
+        return self._table
+
     def cauchy_row(self, i: int) -> list[int]:
         """Row i (0-based) of the s x k Cauchy grid."""
         if not 0 <= i < self.s_rows:
             raise ParameterError(f"cauchy row {i} out of range")
+        if self._hankel:
+            return self._inverse_table()[i : i + self.k_cols]
         row = self._rows.get(i)
         if row is None:
             fld, x = self.field, self.sets.xs[i]
@@ -120,9 +156,11 @@ class DistributionMatrix:
         return row
 
     def cauchy_entry(self, i: int, j: int) -> int:
-        """Single entry; avoids materializing the row when it is not cached."""
+        """Single entry; builds no row or table that is not built already."""
         if not 0 <= i < self.s_rows or not 0 <= j < self.k_cols:
             raise ParameterError(f"cauchy entry ({i}, {j}) out of range")
+        if self._table is not None:
+            return self._table[i + j]
         row = self._rows.get(i)
         if row is not None:
             return row[j]
@@ -166,11 +204,72 @@ class DistributionMatrix:
         if len(vecs) != self.k_cols:
             raise ParameterError(f"need k = {self.k_cols} vectors, got {len(vecs)}")
         fld = self.field
+        if isinstance(fld, PrimeField):
+            return list(vecs) + self._packed_parity(vecs)
         stacked = fld.vec_stack(vecs)
         out = list(vecs)
         for i in range(self.s_rows):
             out.append(fld.vec_combine(self.cauchy_row(i), stacked))
         return out
+
+    def _packed_parity(self, vecs) -> list:
+        """Every parity vector over Z_p, a group of rows per big-int sum.
+
+        Input t's coefficients a_it of the group's rows sit in one int,
+        a_it in slot i, each slot wide enough for a sum of k products below
+        p^2.  At chunk position u, sum_t v_t[u] * packed_t then holds the
+        group's parity values at u, one per slot, before reduction mod p
+        (Kronecker substitution).
+        """
+        s = self.s_rows
+        if not s:
+            return []
+        if not vecs:
+            raise ParameterError("encode needs at least one vector")
+        c = len(vecs[0])
+        if len(set(map(len, vecs))) > 1:
+            raise ParameterError("vectors must have the same length")
+        p = self.field.order
+        slot = 2 * p.bit_length() + self.k_cols.bit_length() + 1
+        mask = (1 << slot) - 1
+        positions = [list(map(operator.itemgetter(u), vecs)) for u in range(c)]
+        parity: list[tuple] = []
+        for lo in range(0, s, _PACKED_ROWS):
+            rows = min(_PACKED_ROWS, s - lo)
+            packed = self._packed_group(lo, rows, slot)
+            shifts = range(0, rows * slot, slot)
+            values = []  # per position, the group's parity values
+            for column in positions:
+                total = sum(map(operator.mul, column, packed))
+                values.append([(total >> b & mask) % p for b in shifts])
+            parity += zip(*values)
+        return parity
+
+    def _packed_group(self, lo: int, rows: int, slot: int) -> list[int]:
+        """Per input t, rows lo..lo+rows-1 of column t in one int, row lo
+        in the lowest slot.  Cached when one group covers every row."""
+        if self._packed is not None:
+            return self._packed
+        k = self.k_cols
+        if self._hankel:
+            # Column t is h[lo + t : lo + t + rows]: slide a window along h,
+            # dropping the lowest slot and adding one at the top per step.
+            h = self._inverse_table()
+            top = (rows - 1) * slot
+            acc = 0
+            for a in reversed(h[lo : lo + rows]):
+                acc = acc << slot | a
+            packed = [acc]
+            for a in h[lo + rows : lo + rows + k - 1]:
+                acc = acc >> slot | a << top
+                packed.append(acc)
+        else:
+            offsets = range(0, rows * slot, slot)
+            grid = [self.cauchy_row(i) for i in range(lo, lo + rows)]
+            packed = [sum(map(operator.lshift, column, offsets)) for column in zip(*grid)]
+        if rows == self.s_rows:
+            self._packed = packed
+        return packed
 
     def parity_delta(self, new_vec) -> list:
         """Parity adjustment when the last column's chunk vector arrives.
@@ -210,7 +309,7 @@ class DistributionMatrix:
         # For each chosen parity row l:
         #   sum_{j erased} a_lj m_j = c_l - sum_{j present} a_lj m_j
         # The submatrix over erased columns is itself Cauchy, so it inverts.
-        sub = [[self.cauchy_row(i)[j] for j in erased] for i in parity_rows]
+        sub = [[row[j] for j in erased] for row in map(self.cauchy_row, parity_rows)]
         inv_sub = _invert(sub, fld)
         return RecoveryPlan(self, have_sys, erased, parity_rows, inv_sub)
 

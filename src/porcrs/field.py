@@ -143,6 +143,10 @@ class Field:
         """Pack vectors for repeated vec_combine calls over the same rows."""
         return list(vecs)
 
+    def vec_concat(self, vecs):
+        """One vector holding the elements of vecs in order."""
+        raise NotImplementedError
+
     def vec_eq(self, u, v) -> bool:
         raise NotImplementedError
 
@@ -273,6 +277,9 @@ class PrimeField(Field):
             out.append(acc % p)
         return tuple(out)
 
+    def vec_concat(self, vecs):
+        return tuple(itertools.chain.from_iterable(vecs))
+
     def vec_eq(self, u, v):
         return tuple(u) == tuple(v)
 
@@ -288,27 +295,28 @@ class PrimeField(Field):
         return tuple(self.check_element(int(x)) for x in values)
 
     def chunks_from_payload(self, data):
-        g = self.payload_size
-        if g < 1:
-            raise ParameterError(f"{self.token} is too small to carry byte payloads")
+        """One numpy pass: each g-byte group becomes an 8-byte little-endian
+        word whose top 8 - g bytes are zero."""
+        g = self._payload_width()
         if len(data) % g:
             raise ParameterError(f"payload length must be a multiple of {g}")
-        return tuple(
-            int.from_bytes(data[i : i + g], "little") for i in range(0, len(data), g)
-        )
+        words = np.zeros((len(data) // g, 8), dtype=np.uint8)
+        words[:, :g] = np.frombuffer(data, dtype=np.uint8).reshape(-1, g)
+        return tuple(words.view("<u8").ravel().tolist())
 
     def chunks_to_payload(self, v):
-        g = self.payload_size
-        if g < 1:
+        """The inverse of chunks_from_payload, in one numpy pass."""
+        g = self._payload_width()
+        v = list(v)
+        if v and not (min(v) >= 0 and max(v) < 1 << (8 * g)):
+            raise ParameterError("element does not fit the payload width")
+        words = np.array(v, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        return words[:, :g].tobytes()
+
+    def _payload_width(self) -> int:
+        if self.payload_size < 1:
             raise ParameterError(f"{self.token} is too small to carry byte payloads")
-        limit = 1 << (8 * g)
-        out = bytearray()
-        for x in v:
-            x = int(x)
-            if not 0 <= x < limit:
-                raise ParameterError("element does not fit the payload width")
-            out += x.to_bytes(g, "little")
-        return bytes(out)
+        return self.payload_size
 
     def vectors_to_bytes(self, vecs):
         flat = list(itertools.chain.from_iterable(vecs))
@@ -418,6 +426,9 @@ class BinaryField(Field):
 
     def vec_stack(self, vecs):
         return np.stack(list(vecs))
+
+    def vec_concat(self, vecs):
+        return np.concatenate(list(vecs))
 
     def vec_eq(self, u, v):
         return len(u) == len(v) and bool(np.array_equal(u, v))

@@ -142,6 +142,24 @@ def test_length_mismatch_raises():
         verify_block(sk, (1, 2), (1,), TagContext(FID, 1, 1, 0), M61)
 
 
+@pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
+def test_tags_from_masks_checks_each_cell(fld):
+    rng = random.Random(30)
+    masks = [rand_block(fld, c, rng) for c in (2, 1, 3)]
+    blocks = [rand_block(fld, c, rng) for c in (2, 1, 3)]
+    alpha = fld.rand_nonzero(rng)
+    tags = auth.tags_from_masks(alpha, masks, blocks, fld)
+    for m, b, t in zip(masks, blocks, tags):
+        expected = [fld.add(x, fld.mul(alpha, y)) for x, y in zip(m, b)]
+        assert fld.vec_eq(t, fld.vec_from_ints(expected))
+    # Six chunks on each side, but the first two cells disagree.
+    swapped = [blocks[1], blocks[0], blocks[2]]
+    with pytest.raises(ParameterError):
+        auth.tags_from_masks(alpha, masks, swapped, fld)
+    with pytest.raises((ParameterError, ValueError)):  # one cell short
+        auth.tags_from_masks(alpha, masks, blocks[:2], fld)
+
+
 def test_tag_delta_noop():
     sk = keygen(M61, random.Random(6))
     ctx = TagContext(FID, 4, 2, 7)

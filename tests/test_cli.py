@@ -576,6 +576,27 @@ def test_bench_writes_table(workspace, capsys):
     assert "us per cell of 32 chunks" in out
 
 
+def test_bench_prints_outsource_throughput(workspace, capsys):
+    tmp_path, root = workspace
+    rc = main(
+        ["bench", "--root", str(root), "--n", "5", "--k", "3",
+         "--stilde", "2", "--sizes", "2100,4200", "--query-sizes", "2",
+         "--bench-out", "bench.tsv", "--seed", "0"]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    seconds = {}
+    for row in open("bench.tsv").read().splitlines()[1:]:
+        size, _, phase, secs = row.split("\t")
+        if phase == "outsource":
+            seconds[int(size)] = float(secs)
+    assert sorted(seconds) == [2100, 4200]
+    for size, secs in seconds.items():
+        line = next(line for line in out.splitlines() if line.startswith(f"|F|={size}: outsource"))
+        mib_s = float(line.split("(")[1].split(" MiB/s)")[0])
+        assert mib_s == pytest.approx(size / 2**20 / secs, rel=0.01, abs=0.01)
+
+
 def test_cli_audit_matches_in_process_audit(workspace, capsys):
     # The CLI layer adds no protocol logic: a seeded CLI audit returns the
     # same verdicts as driving the modules directly on the same artifacts.

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from porcrs import crs
 from porcrs.crs import (
     CauchySets,
     build_distribution,
@@ -11,7 +12,7 @@ from porcrs.crs import (
     canonical_sets,
 )
 from porcrs.errors import CapacityError, ParameterError, UnrecoverableError
-from porcrs.field import binary_field, prime_field
+from porcrs.field import PrimeField, binary_field, prime_field
 
 Z11 = prime_field(11)
 GF8 = binary_field(8)
@@ -255,3 +256,86 @@ def test_recovery_plan_vectors_match_scalars():
     vectors = [None if s is None else (s,) for s in symbols]
     plan = m.recovery_plan([s is not None for s in symbols])
     assert [v[0] for v in plan.apply_vectors(vectors)] == msg
+
+
+# -- Z_p packed encode and Hankel rows against the direct paths ------------
+
+CAP = crs._PACKED_ROWS
+PRIMES = [prime_field(11), prime_field(257), prime_field(65537), M61]
+# (s, k): k < s, k = 1, s in {0, 1}, s over the slot cap and not a multiple.
+SHAPES = [(4, 2), (3, 1), (0, 5), (1, 4), (2 * CAP + 3, 5), (CAP + 1, 1)]
+
+
+def direct_rows(m):
+    """Each Cauchy row by its own batch inversion of x_i - y_j."""
+    fld, ys = m.field, m.sets.ys
+    return [fld.inv_many([fld.sub(x, y) for y in ys]) for x in m.sets.xs]
+
+
+def direct_parity(m, vecs):
+    return [m.field.vec_combine(row, vecs) for row in direct_rows(m)]
+
+
+def random_vectors(fld, k, c, rng):
+    return [tuple(fld.rand_element(rng) for _ in range(c)) for _ in range(k)]
+
+
+def check_against_direct(m, c, rng):
+    fld = m.field
+    assert m.cauchy_rows() == direct_rows(m)
+    vecs = random_vectors(fld, m.k_cols, c, rng)
+    # Extremes too: every element p - 1 makes every slot as full as it gets.
+    for message in (vecs, [(fld.order - 1,) * c] * m.k_cols):
+        codeword = m.encode_vectors(message)
+        assert codeword[: m.k_cols] == message
+        assert codeword[m.k_cols :] == direct_parity(m, message)
+    return m.encode_vectors(vecs), vecs
+
+
+@pytest.mark.parametrize(
+    "fld, s, k, c",
+    [
+        pytest.param(fld, s, k, c, id=f"{fld.token}-s{s}-k{k}-c{c}")
+        for fld in PRIMES
+        for s, k in SHAPES
+        for c in (1, 3)
+        if s + k + 1 <= fld.order  # room for one extension
+    ],
+)
+def test_packed_and_hankel_paths_match_direct(fld, s, k, c):
+    rng = random.Random(s * 1000 + k * 10 + c)
+    m = canonical_matrix(s, k, fld)
+    codeword, vecs = check_against_direct(m, c, rng)
+    # Random patterns of up to s erasures, decoded from the packed codeword.
+    for _ in range(5):
+        erased = set(rng.sample(range(m.n_rows), rng.randint(0, s)))
+        line = [None if t in erased else v for t, v in enumerate(codeword)]
+        plan = m.recovery_plan([v is not None for v in line])
+        assert plan.apply_vectors(line) == vecs
+    ext = m.extend()
+    assert [row[:k] for row in ext.cauchy_rows()] == m.cauchy_rows()
+    check_against_direct(ext, c, rng)
+
+
+@pytest.mark.parametrize("fld", PRIMES, ids=lambda f: f.token)
+def test_hankel_table_is_one_inversion(fld, monkeypatch):
+    calls = []
+    inv_many = PrimeField.inv_many
+    monkeypatch.setattr(
+        PrimeField, "inv_many", lambda self, values: calls.append(1) or inv_many(self, values)
+    )
+    s, k = 3, 4
+    canonical_matrix(s, k, fld).encode_vectors([(1,)] * k)
+    assert len(calls) == 1
+    calls.clear()
+    # The same canonical sets as tuples, and non-canonical sets, take the
+    # direct path: one inversion per row, same values as the closed form.
+    explicit = build_distribution(canonical_sets(s, k, fld), fld)
+    assert explicit.cauchy_rows() == canonical_matrix(s, k, fld).cauchy_rows()
+    assert len(calls) == s + 1
+    calls.clear()
+    shifted = build_distribution(CauchySets(range(1, s + 1), canonical_sets(s, k, fld).ys), fld)
+    shifted.encode_vectors([(1,)] * k)
+    assert len(calls) == s
+    monkeypatch.undo()
+    check_against_direct(shifted, 3, random.Random(1))

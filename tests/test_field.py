@@ -249,6 +249,26 @@ def test_payload_round_trip():
         Z11.chunks_from_payload(b"ab")  # toy modulus carries no payload
 
 
+@pytest.mark.parametrize("p", [257, 65537, MERSENNE61])
+def test_prime_payload_words(p):
+    fld = prime_field(p)
+    g = fld.payload_size
+    rng = random.Random(p)
+    data = rng.randbytes(g * 50) + b"\xff" * g
+    vec = fld.chunks_from_payload(data)
+    assert vec == tuple(int.from_bytes(data[t : t + g], "little") for t in range(0, len(data), g))
+    assert fld.chunks_to_payload(vec) == data
+    assert fld.chunks_from_payload(b"") == () and fld.chunks_to_payload(()) == b""
+    if g > 1:
+        with pytest.raises(ParameterError, match=f"multiple of {g}"):
+            fld.chunks_from_payload(data + b"\x00")
+    for bad in (1 << (8 * g), -1):
+        with pytest.raises(ParameterError, match="does not fit the payload width"):
+            fld.chunks_to_payload(vec[:3] + (bad,))
+    with pytest.raises(ParameterError, match="too small"):
+        Z11.chunks_to_payload((1,))
+
+
 @pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
 def test_stored_vectors_round_trip(fld):
     rng = random.Random(12)

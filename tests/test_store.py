@@ -224,6 +224,41 @@ def test_meta_known_answer(fld, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == META_DIGESTS[fld]
 
 
+# SHA-256 of the share_bytes of a tall zp file: 3,000 data rows at n = 15,
+# k = 9, stilde = 12, as outsourced, and as redistribute re-shares it after
+# server 1 is wiped (eps_p = 0.05, so stilde grows).
+TALL_DIGESTS = {
+    "outsource": "e62062cf1aee7019b11ae9649a04c559ea077f5611fc0057cb5dd5e7d4eabbb0",
+    "repair": "ed5fdb3dc41056f4259596c64ed77219813821c103df35bec4eebe9a6a53dadd",
+}
+
+
+@pytest.fixture(scope="module")
+def tall_shares():
+    rng = random.Random(23)
+    sk, params = setup(M61, 15, 9, 12, eps_p=0.05, rng=rng)
+    data = rng.randbytes(3000 * 9 * M61.payload_size)
+    meta, shares = outsource(sk, params, data, rng=rng)
+    states = client.make_server_states(meta, shares)
+    dumps = [server.dump_all(state) for state in states]
+    dumps[0] = None
+    result = client.redistribute(sk, meta, dumps)
+    assert result.data == data
+    assert result.meta.stilde > meta.stilde
+    return {
+        "outsource": states,
+        "repair": client.make_server_states(result.meta, result.shares),
+    }
+
+
+@pytest.mark.parametrize("kind", list(TALL_DIGESTS))
+def test_tall_share_known_answer(tall_shares, kind):
+    digest = hashlib.sha256()
+    for state in tall_shares[kind]:
+        digest.update(store.share_bytes(state))
+    assert digest.hexdigest() == TALL_DIGESTS[kind]
+
+
 def _failing_replace(*args):
     raise OSError(28, "No space left on device")
 
