@@ -210,7 +210,8 @@ def tags_from_masks(alpha: int, masks, blocks, fld: Field) -> list:
         raise ParameterError("each cell's mask and block must have the same chunk count")
     p = fld.order
     pairs = zip(chain.from_iterable(masks), chain.from_iterable(blocks))
-    tags = iter([(x + alpha * y) % p for x, y in pairs])
+    # A generator, so that no list of a whole column's tags is held.
+    tags = ((x + alpha * y) % p for x, y in pairs)
     if len(set(lengths)) == 1 and lengths[0]:
         return list(zip(*[tags] * lengths[0]))  # cut into cells of equal length
     return [tuple(islice(tags, c)) for c in lengths]

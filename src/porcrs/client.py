@@ -198,6 +198,7 @@ def _product_encode(fld: Field, data_rows, n: int, k: int, stilde: int):
     ktilde = len(data_rows)
     col_code = crs.canonical_matrix(stilde, ktilde, fld)
     cols = [col_code.encode_vectors([row[j] for row in data_rows]) for j in range(k)]
+    del col_code  # frees its inverse table and packed ints before the grid grows
     row_code = crs.row_code(n - k, k, fld)
     return [row_code.encode_vectors([col[i] for col in cols]) for i in range(ktilde + stilde)]
 
