@@ -212,8 +212,6 @@ def tags_from_masks(alpha: int, masks, blocks, fld: Field) -> list:
     pairs = zip(chain.from_iterable(masks), chain.from_iterable(blocks))
     # A generator, so that no list of a whole column's tags is held.
     tags = ((x + alpha * y) % p for x, y in pairs)
-    if len(set(lengths)) == 1 and lengths[0]:
-        return list(zip(*[tags] * lengths[0]))  # cut into cells of equal length
     return [tuple(islice(tags, c)) for c in lengths]
 
 

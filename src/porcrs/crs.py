@@ -159,8 +159,6 @@ class DistributionMatrix:
         """Single entry; builds no row or table that is not built already."""
         if not 0 <= i < self.s_rows or not 0 <= j < self.k_cols:
             raise ParameterError(f"cauchy entry ({i}, {j}) out of range")
-        if self._table is not None:
-            return self._table[i + j]
         row = self._rows.get(i)
         if row is not None:
             return row[j]
