@@ -29,8 +29,8 @@ GF(2^w) each cell's chunks go through three C-level passes, 256 chunks
 at a time: copy the cell state, update each copy, join the digests.
 prf, prf_vector, tag_block, tag_delta and verify_block are one-cell
 wrappers over it, and the client calls it once per server for outsource,
-append and audit.  Audits send only data cells (counter 0, a context
-that never changes) through the mask cache.
+append and audit.  The mask cache keeps data cells only (counter 0, a
+context that never changes), whoever calls it.
 
 alpha is never 0: with alpha = 0 a tag is its mask alone, and any block
 would verify.
@@ -164,25 +164,30 @@ def prf_vector(kprf: bytes, ctx: TagContext, count: int, fld: Field):
     return prf_masks(kprf, ctx.fid, ctx.server, [(ctx.row, ctx.ctr)], count, fld)[0]
 
 
-# Verification revisits the same (fid, row, server, ctr) cells across
-# audits; memoize their PRF vectors.  Cleared wholesale when full.
+# Masks are PRF values the client can always recompute; memoize those of
+# counter-0 (data) cells, whose context never changes, while a parity
+# cell's moves with every append.  Cleared wholesale when full.
 _PRF_CACHE: dict = {}
 _PRF_CACHE_MAX = 16384
 
 
 def prf_masks_cached(kprf: bytes, fid: bytes, server: int, cells, count: int, fld: Field):
-    """prf_masks through the cache; the misses take one kernel call."""
-    keys = [(kprf, fid, row, server, ctr, count, fld.token) for row, ctr in cells]
-    out = [_PRF_CACHE.get(key) for key in keys]
+    """prf_masks, with counter-0 cells looked up in and stored to the cache;
+    every other cell and every miss take one kernel call."""
+    keys = [(kprf, fid, row, server, count, fld.token) if ctr == 0 else None for row, ctr in cells]
+    out = [key and _PRF_CACHE.get(key) for key in keys]
     missing = [t for t, vec in enumerate(out) if vec is None]
     if missing:
         fresh = prf_masks(kprf, fid, server, [cells[t] for t in missing], count, fld)
         for t, vec in zip(missing, fresh):
+            out[t] = vec
+            if keys[t] is None:
+                continue
             if len(_PRF_CACHE) >= _PRF_CACHE_MAX:
                 _PRF_CACHE.clear()
             if isinstance(vec, np.ndarray):
                 vec.flags.writeable = False
-            _PRF_CACHE[keys[t]] = out[t] = vec
+            _PRF_CACHE[keys[t]] = vec
     return out
 
 
@@ -198,16 +203,14 @@ def clear_prf_cache() -> None:
 def tags_from_masks(alpha: int, masks, blocks, fld: Field) -> list:
     """mask + alpha * block for each cell: the tag formula.
 
-    In Z_p one flat pass covers every chunk of every cell; each cell's mask
-    and block must still have the same chunk count.
+    Each cell's mask and block must have the same chunk count.  In Z_p one
+    flat pass covers every chunk of every cell.
     """
-    if isinstance(fld, BinaryField):
-        return [
-            fld.vec_add(m, fld.vec_scale(alpha, b)) for m, b in zip(masks, blocks, strict=True)
-        ]
     lengths = list(map(len, masks))
     if lengths != list(map(len, blocks)):
         raise ParameterError("each cell's mask and block must have the same chunk count")
+    if isinstance(fld, BinaryField):
+        return [fld.vec_add(m, fld.vec_scale(alpha, b)) for m, b in zip(masks, blocks)]
     p = fld.order
     pairs = zip(chain.from_iterable(masks), chain.from_iterable(blocks))
     # A generator, so that no list of a whole column's tags is held.
@@ -231,7 +234,10 @@ def verify_block(sk: SecretKey, block, tag, ctx: TagContext, fld: Field) -> bool
 
 def tag_deltas(alpha: int, old_masks, new_masks, delta_blocks, fld: Field) -> list:
     """(new mask - old mask) + alpha * delta block for each parity slot."""
-    moved = [fld.vec_sub(new, old) for old, new in zip(old_masks, new_masks, strict=True)]
+    try:
+        moved = [fld.vec_sub(new, old) for old, new in zip(old_masks, new_masks, strict=True)]
+    except ValueError:
+        raise ParameterError("old and new masks must cover the same cells") from None
     return tags_from_masks(alpha, moved, delta_blocks, fld)
 
 

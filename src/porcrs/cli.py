@@ -223,7 +223,8 @@ def cmd_status(args) -> int:
     want = {"fid": (meta.fid,), "r": (meta.r,), "ctr": (meta.ctr,)}
     for j in range(1, meta.n + 1):
         try:
-            state = store.read_share(store.share_path(args.root, j, meta.fid))
+            # Header, shape and file length only: no cell is decoded.
+            state = store.read_share(store.share_path(args.root, j, meta.fid), ())
         except FileNotFoundError:
             line = "missing"
         except FormatError as exc:

@@ -348,8 +348,6 @@ def verify(sk: SecretKey, meta: FileMetadata, q: ChallengeSet, proof) -> list[bo
     For each responding server the aggregate tag must equal the challenge
     combination of that server's PRF masks (data rows at counter 0, parity
     rows at the current counter) plus alpha times the aggregate block.
-    Only data-row masks go through the PRF cache: a data row's context
-    never changes, while a parity row's moves with every append.
     """
     fld = meta.field
     c = meta.chunks
@@ -358,11 +356,8 @@ def verify(sk: SecretKey, meta: FileMetadata, q: ChallengeSet, proof) -> list[bo
     for i, _ in q.entries:
         if not 1 <= i <= meta.r:
             raise ParameterError(f"challenged row {i} out of range")
-    # Data rows first; sums and XORs do not depend on the order.
-    entries = sorted(q.entries, key=lambda entry: entry[0] > meta.ktilde)
-    coeffs = [nu for _, nu in entries]
-    cells = [(i, cell_ctr(meta.ktilde, meta.ctr, i)) for i, _ in entries]
-    data = sum(i <= meta.ktilde for i, _ in entries)
+    coeffs = [nu for _, nu in q.entries]
+    cells = [(i, cell_ctr(meta.ktilde, meta.ctr, i)) for i, _ in q.entries]
     verdicts = []
     for j in range(1, meta.n + 1):
         try:
@@ -373,8 +368,7 @@ def verify(sk: SecretKey, meta: FileMetadata, q: ChallengeSet, proof) -> list[bo
         mu, sigma = fld.as_vector(mu, c), fld.as_vector(sigma, c)
         ok = mu is not None and sigma is not None
         if ok:
-            masks = auth.prf_masks_cached(sk.kprf, meta.fid, j, cells[:data], c, fld)
-            masks += auth.prf_masks(sk.kprf, meta.fid, j, cells[data:], c, fld)
+            masks = auth.prf_masks_cached(sk.kprf, meta.fid, j, cells, c, fld)
             expected = fld.vec_add(
                 fld.vec_combine(coeffs, fld.vec_stack(masks)),
                 fld.vec_scale(sk.alpha, mu),

@@ -350,15 +350,10 @@ class RecoveryPlan:
         out: list[list[tuple[int, int]]] = [[] for _ in range(k)]
         for j in self.have_sys:
             out[j] = [(j, 1)]
-        rows = [m.cauchy_row(i) for i in self.parity_rows]
+        rows = fld.vec_stack(map(m.cauchy_row, self.parity_rows)) if self.erased else ()
         for j, weights in zip(self.erased, self.inv_sub):
-            terms: list[tuple[int, int]] = []
-            for jp in self.have_sys:
-                coeff = 0
-                for w, row in zip(weights, rows):
-                    coeff = fld.sub(coeff, fld.mul(w, row[jp]))
-                if coeff:
-                    terms.append((jp, coeff))
+            sums = fld.vec_to_ints(fld.vec_combine(weights, rows))  # sum_l w_l a_lj'
+            terms = [(jp, fld.neg(sums[jp])) for jp in self.have_sys if sums[jp]]
             terms += [(k + i, w) for i, w in zip(self.parity_rows, weights) if w]
             out[j] = terms
         self._coeffs = out
@@ -376,26 +371,25 @@ class RecoveryPlan:
 
 
 def _invert(mat: list[list[int]], fld: Field) -> list[list[int]]:
-    """Gauss-Jordan inverse over the field; raises if singular."""
+    """Gauss-Jordan inverse over the field, each row joined to its identity
+    row so that a row operation is one vec_scale or vec_sub; raises if
+    singular."""
     n = len(mat)
-    a = [list(row) for row in mat]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [
+        fld.vec_from_ints([*row, *(int(i == j) for j in range(n))])
+        for i, row in enumerate(mat)
+    ]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if pivot is None:
             raise UnrecoverableError("singular system in erasure decode")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = fld.inv(a[col][col])
-        a[col] = [fld.mul(scale, v) for v in a[col]]
-        inv[col] = [fld.mul(scale, v) for v in inv[col]]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = fld.vec_scale(fld.inv(int(rows[col][col])), rows[col])
         for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            factor = a[r][col]
-            a[r] = [fld.sub(v, fld.mul(factor, w)) for v, w in zip(a[r], a[col])]
-            inv[r] = [fld.sub(v, fld.mul(factor, w)) for v, w in zip(inv[r], inv[col])]
-    return inv
+            factor = int(rows[r][col])
+            if r != col and factor:
+                rows[r] = fld.vec_sub(rows[r], fld.vec_scale(factor, rows[col]))
+    return [fld.vec_to_ints(row[n:]) for row in rows]
 
 
 def build_distribution(sets: CauchySets, fld: Field) -> DistributionMatrix:

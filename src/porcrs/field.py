@@ -252,11 +252,17 @@ class PrimeField(Field):
 
     def vec_add(self, u, v):
         p = self.modulus
-        return tuple((a + b) % p for a, b in zip(u, v, strict=True))
+        try:
+            return tuple((a + b) % p for a, b in zip(u, v, strict=True))
+        except ValueError:
+            raise ParameterError("vector length mismatch") from None
 
     def vec_sub(self, u, v):
         p = self.modulus
-        return tuple((a - b) % p for a, b in zip(u, v, strict=True))
+        try:
+            return tuple((a - b) % p for a, b in zip(u, v, strict=True))
+        except ValueError:
+            raise ParameterError("vector length mismatch") from None
 
     def vec_scale(self, s, v):
         p = self.modulus
@@ -417,6 +423,8 @@ class BinaryField(Field):
         return self._exp[self._log[v] + self._log[s]]
 
     def vec_combine(self, coeffs, vecs):
+        if not len(vecs):
+            raise ParameterError("vec_combine needs at least one vector")
         mat = vecs if isinstance(vecs, np.ndarray) else np.stack(vecs)
         if len(coeffs) != mat.shape[0]:
             raise ParameterError("one coefficient per vector required")

@@ -355,6 +355,8 @@ def read_config(path) -> HarnessConfig:
             key = key.strip()
             if not sep or key not in kinds:
                 raise ParameterError(f"config line {lineno}: unknown entry {line!r}")
+            if key in overrides:
+                raise ParameterError(f"config line {lineno}: duplicate key {key!r}")
             current = getattr(defaults, key)
             try:
                 if isinstance(current, int):

@@ -156,8 +156,20 @@ def test_tags_from_masks_checks_each_cell(fld):
     swapped = [blocks[1], blocks[0], blocks[2]]
     with pytest.raises(ParameterError):
         auth.tags_from_masks(alpha, masks, swapped, fld)
-    with pytest.raises((ParameterError, ValueError)):  # one cell short
+    with pytest.raises(ParameterError):  # one cell short
         auth.tags_from_masks(alpha, masks, blocks[:2], fld)
+
+
+@pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
+def test_tag_deltas_check_shapes(fld):
+    rng = random.Random(31)
+    old, new, delta = ([rand_block(fld, 2, rng) for _ in range(3)] for _ in range(3))
+    alpha = fld.rand_nonzero(rng)
+    assert len(auth.tag_deltas(alpha, old, new, delta, fld)) == 3
+    short_mask = [*new[:2], rand_block(fld, 1, rng)]
+    for args in [(old[:2], new, delta), (old, new, delta[:2]), (old, short_mask, delta)]:
+        with pytest.raises(ParameterError):
+            auth.tag_deltas(alpha, *args, fld)
 
 
 def test_tag_delta_noop():
@@ -435,15 +447,19 @@ def test_prf_masks_match_per_cell_blake2b(fld):
 
 @pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
 def test_prf_masks_cached_matches_kernel(fld):
+    # Counter-0 cells are looked up and stored; any other cell is computed
+    # in the same kernel call as the misses and never stored.
     auth.clear_prf_cache()
-    cells = [(3, 0), (9, 2), (4, 1)]
+    cells = [(3, 0), (9, 2), (4, 1), (5, 0)]
     first = auth.prf_masks_cached(KEY, FID, 2, cells[:2], 4, fld)
     both = auth.prf_masks_cached(KEY, FID, 2, cells, 4, fld)
     fresh = auth.prf_masks(KEY, FID, 2, cells, 4, fld)
-    assert all(a is b for a, b in zip(both, first))  # hits return the cached vectors
-    for got, want in zip(both, fresh):
+    assert both[0] is first[0]  # a hit returns the cached vector
+    assert both[1] is not first[1]  # counter 2 was computed again
+    assert sorted(key[2] for key in auth._PRF_CACHE) == [3, 5]
+    for (_, ctr), got, want in zip(cells, both, fresh):
         assert fld.vec_eq(got, want)
-        if fld is GF16:
+        if fld is GF16 and ctr == 0:
             assert not got.flags.writeable
 
 

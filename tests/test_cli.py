@@ -452,6 +452,38 @@ def test_status_names_mismatched_share_fields(workspace, capsys):
     assert f"server 2: ok (r={new.r}, ctr=2)" in out
 
 
+@pytest.mark.parametrize("field", [PRIME, BINARY], ids=FIELD_IDS.get)
+def test_status_reads_headers_only(workspace, capsys, monkeypatch, field):
+    # status checks header, shape and file length, and decodes no cell.
+    tmp_path, root = workspace
+    keygen_and_outsource(tmp_path, root, field=field)
+    meta = store.read_meta("file.meta")
+    decoded = []
+    cls = type(meta.field)
+    read = cls.vectors_from_bytes
+
+    def counting(self, *args, **kwargs):
+        for vec in read(self, *args, **kwargs):
+            decoded.append(1)
+            yield vec
+
+    monkeypatch.setattr(cls, "vectors_from_bytes", counting)
+    status = ["status", "--root", str(root), "--meta", "file.meta"]
+    victim = store.share_path(root, 2, meta.fid)
+    raw = open(victim, "rb").read()
+    for damaged, message in [
+        (raw[:-1], "server 2: malformed: share file truncated in cell "),
+        (raw + b"\0\0\0", "server 2: malformed: 3 trailing bytes after body\n"),
+    ]:
+        open(victim, "wb").write(damaged)
+        assert main(status) == 0
+        out = capsys.readouterr().out
+        assert message in out
+        for j in (1, 3, 4, 5):
+            assert f"server {j}: ok (r={meta.r}, ctr=1)" in out
+    assert decoded == []
+
+
 def test_audit_sees_a_bad_word_only_in_a_challenged_cell(workspace, capsys):
     # An audit reads the challenged cells alone; a word outside Z_p in any
     # other cell waits for the audit that challenges it (or for append or

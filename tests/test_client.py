@@ -302,7 +302,7 @@ def test_verify_detects_stale_parity():
 def test_verify_caches_only_data_cell_masks(token, monkeypatch):
     # A parity cell's tag context moves with every append, so its cached
     # mask could never be looked up again: only counter-0 data cells may
-    # reach the PRF cache, and putting them first must not move a verdict.
+    # stay in the PRF cache, and a mixed challenge must not move a verdict.
     fld = M61 if token == "zp" else binary_field(16)
     rng = random.Random(27)
     sk, params = setup(fld, 6, 4, 3, block_size=8, rng=rng)
@@ -317,14 +317,14 @@ def test_verify_caches_only_data_cell_masks(token, monkeypatch):
         server.apply_append(state, order)
     assert meta.ctr >= 1
     servers[2].cells[meta.ktilde :] = stale  # keeps its pre-append parity
-    cached = []
-    kernel = auth.prf_masks_cached
+    computed = []
+    kernel = auth.prf_masks
 
     def spy(kprf, fid, j, cells, count, fld):
-        cached.extend(cells)
+        computed.append(list(cells))
         return kernel(kprf, fid, j, cells, count, fld)
 
-    monkeypatch.setattr(auth, "prf_masks_cached", spy)
+    monkeypatch.setattr(auth, "prf_masks", spy)
     auth.clear_prf_cache()
     data_rows, parity_rows = range(1, meta.ktilde + 1), range(meta.ktilde + 1, meta.r + 1)
     for _ in range(4):
@@ -349,7 +349,37 @@ def test_verify_caches_only_data_cell_masks(token, monkeypatch):
             oracle.append(fld.vec_eq(sigma, want))
         assert verify(sk, meta, q, proof) == oracle
         assert oracle == [True, True, False, True, True, True]
-    assert cached and all(ctr == 0 and row <= meta.ktilde for row, ctr in cached)
+        assert {key[2] for key in auth._PRF_CACHE} <= set(data_rows)
+        # The same challenge again: data cells hit, parity cells are recomputed.
+        computed.clear()
+        assert verify(sk, meta, q, proof) == oracle
+        parity = sorted((i, meta.ctr) for i in rows if i > meta.ktilde)
+        assert [sorted(cells) for cells in computed] == [parity] * meta.n
+
+
+@pytest.mark.parametrize("token", ["zp", "gf2:16"])
+def test_prf_cache_holds_data_rows_only(token):
+    # Outsource, append, audit and repair: whatever reaches the PRF cache,
+    # only data rows' masks stay in it.
+    fld = M61 if token == "zp" else binary_field(16)
+    rng = random.Random(28)
+    auth.clear_prf_cache()
+    sk, params = setup(fld, 6, 4, 3, block_size=8, rng=rng)
+    meta, shares = outsource(sk, params, rng.randbytes(120), rng=rng)
+    servers = client.make_server_states(meta, shares)
+    payload = client.block_payload_size(fld, meta.chunks) * meta.k
+    orders = client.append(
+        sk, meta, client.row_blocks_from_payload(meta, rng.randbytes(payload))
+    )
+    for state, order in zip(servers, orders):
+        server.apply_append(state, order)
+    q = challenge(meta, meta.r, rng)
+    assert verify(sk, meta, q, [server.prove(state, q) for state in servers]) == [True] * 6
+    servers[0].cells = [None] * meta.r
+    result = redistribute(sk, meta, [server.dump_all(state) for state in servers])
+    assert result is not None
+    keys = list(auth._PRF_CACHE)
+    assert keys and {key[2] for key in keys} <= set(range(1, meta.ktilde + 1))
 
 
 def test_verify_counts_absent_servers_as_failures():

@@ -339,3 +339,102 @@ def test_hankel_table_is_one_inversion(fld, monkeypatch):
     assert len(calls) == s
     monkeypatch.undo()
     check_against_direct(shifted, 3, random.Random(1))
+
+
+# -- recovery plans against the scalar reference ---------------------------
+
+
+def scalar_invert(mat, fld):
+    """Gauss-Jordan by scalar field ops, as plans were first solved."""
+    n = len(mat)
+    a = [list(row) for row in mat]
+    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise UnrecoverableError("singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = fld.inv(a[col][col])
+        a[col] = [fld.mul(scale, v) for v in a[col]]
+        inv[col] = [fld.mul(scale, v) for v in inv[col]]
+        for r in range(n):
+            if r == col or a[r][col] == 0:
+                continue
+            factor = a[r][col]
+            a[r] = [fld.sub(v, fld.mul(factor, w)) for v, w in zip(a[r], a[col])]
+            inv[r] = [fld.sub(v, fld.mul(factor, w)) for v, w in zip(inv[r], inv[col])]
+    return inv
+
+
+def scalar_coefficients(plan):
+    """Per message position, its terms by scalar field ops, zeros left out."""
+    m, fld = plan.matrix, plan.matrix.field
+    k = m.k_cols
+    out = [[] for _ in range(k)]
+    for j in plan.have_sys:
+        out[j] = [(j, 1)]
+    rows = [m.cauchy_row(i) for i in plan.parity_rows]
+    for j, weights in zip(plan.erased, plan.inv_sub):
+        terms = []
+        for jp in plan.have_sys:
+            coeff = 0
+            for w, row in zip(weights, rows):
+                coeff = fld.sub(coeff, fld.mul(w, row[jp]))
+            if coeff:
+                terms.append((jp, coeff))
+        terms += [(k + i, w) for i, w in zip(plan.parity_rows, weights) if w]
+        out[j] = terms
+    return out
+
+
+def all_ints(nested):
+    return all(
+        all_ints(x) if isinstance(x, (list, tuple)) else type(x) is int for x in nested
+    )
+
+
+PLAN_FIELDS = [Z11, prime_field(257), M61, GF8, GF16]
+
+
+@pytest.mark.parametrize(
+    "fld, s, k",
+    [
+        pytest.param(fld, s, k, id=f"{fld.token}-s{s}-k{k}")
+        for fld in PLAN_FIELDS
+        for s, k in [(3, 4), (6, 9), (2, 1), (12, 200)]
+        if s + k <= fld.order
+    ],
+)
+def test_recovery_plans_match_scalar_reference(fld, s, k):
+    rng = random.Random(s * 1000 + k)
+    m = canonical_matrix(s, k, fld)
+    for _ in range(6):
+        present = [True] * (s + k)
+        for t in rng.sample(range(s + k), rng.randint(0, s)):
+            present[t] = False
+        plan = m.recovery_plan(present)
+        sub = [[row[j] for j in plan.erased] for row in map(m.cauchy_row, plan.parity_rows)]
+        assert plan.inv_sub == scalar_invert(sub, fld) == crs._invert(sub, fld)
+        coeffs = plan.coefficients()
+        assert coeffs == scalar_coefficients(plan)
+        assert all_ints(plan.inv_sub) and all_ints(coeffs)
+
+
+@pytest.mark.parametrize("fld", PLAN_FIELDS, ids=lambda f: f.token)
+def test_invert_matches_scalar_reference_and_refuses_singular(fld):
+    rng = random.Random(8)
+    for n in (1, 2, 5):
+        mat = [[fld.rand_element(rng) for _ in range(n)] for _ in range(n)]
+        try:
+            want = scalar_invert(mat, fld)
+        except UnrecoverableError:
+            with pytest.raises(UnrecoverableError):
+                crs._invert(mat, fld)
+        else:
+            assert crs._invert(mat, fld) == want
+    singular = [[1, 2, 3], [2, 4, 6], [0, 1, 1]] if fld.kind == "prime" else [[1, 2], [1, 2]]
+    with pytest.raises(UnrecoverableError):
+        crs._invert(singular, fld)
+    with pytest.raises(UnrecoverableError):
+        crs._invert([[0]], fld)

@@ -228,6 +228,20 @@ def test_vector_ops_match_scalar_ops(fld):
         assert fld.vec_to_ints(combo) == expect
 
 
+@pytest.mark.parametrize("fld", [Z11, M61, GF8, GF16], ids=lambda f: f.token)
+def test_vector_shape_mismatch_is_parameter_error(fld):
+    u, v = fld.vec_from_ints([1, 2, 3]), fld.vec_from_ints([1, 2])
+    for op in (fld.vec_add, fld.vec_sub):
+        with pytest.raises(ParameterError):
+            op(u, v)
+        with pytest.raises(ParameterError):
+            op(v, u)
+    with pytest.raises(ParameterError):
+        fld.vec_combine([], [])
+    with pytest.raises(ParameterError):
+        fld.vec_combine([1, 1], [u])
+
+
 def test_vec_combine_accepts_stacked_matrix():
     rng = random.Random(10)
     vecs = [GF16.vec_from_ints([rng.getrandbits(16) for _ in range(8)]) for _ in range(6)]

@@ -194,6 +194,13 @@ def test_config_file_round_trip(tmp_path):
         read_config(bad)
 
 
+def test_read_config_refuses_a_repeated_key(tmp_path):
+    path = tmp_path / "twice.conf"
+    path.write_text("seed=1\nseed=2\n")
+    with pytest.raises(ParameterError, match="config line 2: duplicate key 'seed'"):
+        read_config(path)
+
+
 def test_report_files(tmp_path):
     report = run(HarnessConfig(adversary="tamper", budget=1, epochs=2, seed=12))
     text, table = tmp_path / "report.txt", tmp_path / "report.tsv"
