@@ -38,6 +38,7 @@ would verify.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import random
@@ -49,6 +50,7 @@ import numpy as np
 
 from .errors import FormatError, ParameterError
 from .field import BinaryField, Field
+from .textfile import read_entries
 
 _DIGEST = 16
 
@@ -260,10 +262,20 @@ def tag_delta(
 
 # -- keyfile persistence -------------------------------------------------
 
+def _keyfile_entries(fld: Field) -> dict:
+    """key -> (parse, format) of each keyfile line, in file order."""
+    alpha = (int, str) if fld.kind == "prime" else (functools.partial(int, base=16), "{:x}".format)
+    return {"alpha": alpha, "kprf": (bytes.fromhex, bytes.hex)}
+
+
+def _keyfile_error(message: str, line: int) -> FormatError:
+    return FormatError(f"keyfile line {line}: {message}")
+
+
 def write_keyfile(path, sk: SecretKey, fld: Field) -> None:
     """Two-line text keyfile; alpha decimal for prime fields, hex for binary."""
-    alpha = str(sk.alpha) if fld.kind == "prime" else format(sk.alpha, "x")
-    data = f"alpha={alpha}\nkprf={sk.kprf.hex()}\n"
+    entries = _keyfile_entries(fld).items()
+    data = "".join(f"{key}={fmt(getattr(sk, key))}\n" for key, (_, fmt) in entries)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
     with os.fdopen(fd, "w") as fh:
         os.fchmod(fd, 0o600)  # os.open's mode applies only to a new file
@@ -271,27 +283,13 @@ def write_keyfile(path, sk: SecretKey, fld: Field) -> None:
 
 
 def read_keyfile(path, fld: Field) -> SecretKey:
-    fields = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep or key not in ("alpha", "kprf"):
-                raise FormatError(f"keyfile line {lineno}: unknown entry {line!r}")
-            if key in fields:
-                raise FormatError(f"keyfile line {lineno}: duplicate key {key!r}")
-            fields[key] = value
-    if set(fields) != {"alpha", "kprf"}:
+    entries = _keyfile_entries(fld)
+    parsers = {key: parse for key, (parse, _) in entries.items()}
+    values = read_entries(path, parsers, _keyfile_error)
+    if values.keys() != entries.keys():
         raise FormatError("keyfile must contain exactly alpha and kprf")
-    try:
-        alpha = int(fields["alpha"], 10 if fld.kind == "prime" else 16)
-        kprf = bytes.fromhex(fields["kprf"])
-    except ValueError as exc:
-        raise FormatError(f"keyfile: {exc}") from None
-    if len(kprf) != 32:
+    if len(values["kprf"]) != 32:
         raise FormatError("keyfile: kprf must be 64 hex characters")
-    if not 0 < alpha < fld.order:
+    if not 0 < values["alpha"] < fld.order:
         raise FormatError(f"keyfile: alpha must be a nonzero element of {fld.token}")
-    return SecretKey(alpha, kprf)
+    return SecretKey(**values)

@@ -63,6 +63,9 @@ def _load_meta_key(args):
 
 def cmd_keygen(args) -> int:
     fld = field_from_token(args.field)
+    # Every file outsourced under the old key would fail its audits for good.
+    if os.path.lexists(args.key):
+        raise ParameterError(f"{args.key} exists; refusing to replace a key")
     sk = keygen(fld, random.Random(args.seed) if args.seed is not None else None)
     write_keyfile(args.key, sk, fld)
     print(f"wrote key for {fld.token} to {args.key}")
@@ -203,9 +206,8 @@ def cmd_repair(args) -> int:
         print("repair failed: file unavailable")
         return 3
     out = args.out or f"{meta.fid.hex()}.recovered"
-    with open(out, "wb") as fh:
-        fh.write(result.data)
     # The data is handed back before the commit, even if re-sharing fails.
+    store.replace_files({out: lambda: result.data})
     _commit(args.root, result.meta, result.shares, args.meta)
     print(f"recovered {len(result.data)} bytes to {out}")
     print(f"reshared at ctr={result.meta.ctr} with {result.meta.stilde} parity rows")

@@ -365,9 +365,10 @@ def verify(sk: SecretKey, meta: FileMetadata, q: ChallengeSet, proof) -> list[bo
         except (TypeError, ValueError):
             mu = sigma = None  # missing (None), or not a pair
         # Anything but two vectors of c field elements fails this server only.
-        mu, sigma = fld.as_vector(mu, c), fld.as_vector(sigma, c)
-        ok = mu is not None and sigma is not None
+        pair = fld.as_vectors([mu, sigma], c)
+        ok = pair is not None
         if ok:
+            mu, sigma = pair
             masks = auth.prf_masks_cached(sk.kprf, meta.fid, j, cells, c, fld)
             expected = fld.vec_add(
                 fld.vec_combine(coeffs, fld.vec_stack(masks)),

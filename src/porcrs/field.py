@@ -150,10 +150,12 @@ class Field:
     def vec_eq(self, u, v) -> bool:
         raise NotImplementedError
 
-    def as_vector(self, v, c: int):
-        """v as a vector of c field elements, or None if it is not one.
+    def as_vectors(self, vecs, c: int):
+        """Each of vecs as a vector of c field elements, or None if any is
+        not one.
 
-        Screens vectors that arrive from outside, such as audit responses.
+        Screens vectors that arrive from outside: audit responses and
+        append orders.
         """
         raise NotImplementedError
 
@@ -253,20 +255,20 @@ class PrimeField(Field):
     def vec_add(self, u, v):
         p = self.modulus
         try:
-            return tuple((a + b) % p for a, b in zip(u, v, strict=True))
+            return tuple([(a + b) % p for a, b in zip(u, v, strict=True)])
         except ValueError:
             raise ParameterError("vector length mismatch") from None
 
     def vec_sub(self, u, v):
         p = self.modulus
         try:
-            return tuple((a - b) % p for a, b in zip(u, v, strict=True))
+            return tuple([(a - b) % p for a, b in zip(u, v, strict=True)])
         except ValueError:
             raise ParameterError("vector length mismatch") from None
 
     def vec_scale(self, s, v):
         p = self.modulus
-        return tuple(s * a % p for a in v)
+        return tuple([s * a % p for a in v])
 
     def vec_combine(self, coeffs, vecs):
         if len(coeffs) != len(vecs):
@@ -289,13 +291,16 @@ class PrimeField(Field):
     def vec_eq(self, u, v):
         return tuple(u) == tuple(v)
 
-    def as_vector(self, v, c):
-        p = self.modulus
+    def as_vectors(self, vecs, c):
+        """One flat pass over every element of every vector."""
         try:
-            ok = len(v) == c and all(isinstance(a, int) and 0 <= a < p for a in v)
+            vecs = list(map(tuple, vecs))
         except TypeError:
             return None
-        return tuple(v) if ok else None
+        flat = list(itertools.chain.from_iterable(vecs))
+        if set(map(len, vecs)) != {c} or set(map(type, flat)) != {int}:
+            return None
+        return vecs if 0 <= min(flat) and max(flat) < self.modulus else None
 
     def vec_from_ints(self, values):
         return tuple(self.check_element(int(x)) for x in values)
@@ -441,17 +446,20 @@ class BinaryField(Field):
     def vec_eq(self, u, v):
         return len(u) == len(v) and bool(np.array_equal(u, v))
 
-    def as_vector(self, v, c):
-        try:
-            a = np.asarray(v)
-        except (TypeError, ValueError):
-            return None
-        if a.shape != (c,) or a.dtype.kind not in "iu":
-            return None
-        # The field's own dtype holds nothing but elements.
-        if a.dtype != self.dtype and not (a.min() >= 0 and a.max() < self.order):
-            return None
-        return a.astype(self.dtype, copy=False)
+    def as_vectors(self, vecs, c):
+        out = []
+        for v in vecs:
+            try:
+                a = np.asarray(v)
+            except (TypeError, ValueError):
+                return None
+            if a.shape != (c,) or a.dtype.kind not in "iu":
+                return None
+            # The field's own dtype holds nothing but elements.
+            if a.dtype != self.dtype and not (a.min() >= 0 and a.max() < self.order):
+                return None
+            out.append(a.astype(self.dtype, copy=False))
+        return out
 
     def vec_from_ints(self, values):
         arr = np.array([self.check_element(int(x)) for x in values], dtype=self.dtype)

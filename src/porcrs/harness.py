@@ -24,6 +24,7 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 from . import client, server
 from .errors import ParameterError
 from .field import field_from_token
+from .textfile import read_entries
 
 
 @dataclass
@@ -341,35 +342,15 @@ def account_append_cost(config: HarnessConfig) -> AppendCost:
 
 # -- config and report files ------------------------------------------------
 
+def _config_error(message: str, line: int) -> ParameterError:
+    return ParameterError(f"config line {line}: {message}")
+
+
 def read_config(path) -> HarnessConfig:
     """key=value text mirroring HarnessConfig fields."""
-    kinds = {f.name: f.type for f in fields(HarnessConfig)}
     defaults = HarnessConfig()
-    overrides = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key not in kinds:
-                raise ParameterError(f"config line {lineno}: unknown entry {line!r}")
-            if key in overrides:
-                raise ParameterError(f"config line {lineno}: duplicate key {key!r}")
-            current = getattr(defaults, key)
-            try:
-                if isinstance(current, int):
-                    overrides[key] = int(value)
-                elif isinstance(current, float):
-                    overrides[key] = float(value)
-                else:
-                    overrides[key] = value.strip()
-            except ValueError:
-                raise ParameterError(
-                    f"config line {lineno}: bad value for {key}: {value!r}"
-                ) from None
-    return replace(defaults, **overrides)
+    parsers = {f.name: type(getattr(defaults, f.name)) for f in fields(HarnessConfig)}
+    return replace(defaults, **read_entries(path, parsers, _config_error))
 
 
 def _recovery_regime(cfg: HarnessConfig) -> str:

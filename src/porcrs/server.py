@@ -99,23 +99,28 @@ def apply_append(state: ServerState, order) -> None:
         raise OrderRejectedError(
             f"{len(order.deltas)} tag deltas for {state.stilde} parity slots"
         )
-    if len(order.new_block) != state.chunks or len(order.new_tag) != state.chunks:
-        raise OrderRejectedError("new cell chunk count does not match share")
+    # Every vector is screened before any cell changes, and stored as screened.
+    vecs = fld.as_vectors([order.new_block, order.new_tag, *order.deltas], state.chunks)
+    if vecs is None:
+        raise OrderRejectedError(
+            f"append order holds a vector that is not {state.chunks} elements of {fld.token}"
+        )
+    new_block, new_tag, *tag_deltas = vecs
     if state.r + 1 > fld.order:
         raise CapacityError("append would exceed field order")
 
     ktilde_new = state.ktilde + 1
     extended = crs.canonical_matrix(state.stilde, ktilde_new, fld)
-    deltas = extended.parity_delta(order.new_block)
+    deltas = extended.parity_delta(new_block)
     for slot in range(state.stilde):
         cell = state.cells[state.ktilde + slot]
         if cell is None:
             continue  # wiped cell stays wiped; audits will flag it
         block, tag = cell
         block = fld.vec_add(block, deltas[slot])
-        tag = fld.vec_add(tag, order.deltas[slot])
+        tag = fld.vec_add(tag, tag_deltas[slot])
         state.cells[state.ktilde + slot] = (block, tag)
-    state.cells.insert(state.ktilde, (order.new_block, order.new_tag))
+    state.cells.insert(state.ktilde, (new_block, new_tag))
     state.ktilde = ktilde_new
     state.ctr += 1
 

@@ -24,9 +24,9 @@ created are removed again, ``append`` and ``repair`` finish when run
 again, and an ``outsource`` leaves no share and no metadata.  Two porcrs
 commands must not run on one depot at once: they share the staged names.
 
-Client metadata is line-oriented ``key=value`` text; the table ``_META``
-fixes its keys, their order and their syntax, so equal states serialize
-byte-identically.
+Client metadata is ``key=value`` text, read by ``textfile.read_entries``;
+the table ``_META`` fixes its keys, their order and their syntax, so equal
+states serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .client import FileMetadata, SchemeParams, chunks_per_block
 from .errors import CapacityError, FieldMismatchError, FormatError, MetaFormatError, ParameterError
 from .field import field_from_token
 from .server import ServerState
+from .textfile import read_entries
 
 MAGIC = b"CRS1"
 VERSION = 1
@@ -246,30 +247,12 @@ def write_meta(meta: FileMetadata, path) -> None:
 
 
 def read_meta(path) -> FileMetadata:
-    found: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise MetaFormatError(f"expected key=value, got {line!r}", lineno)
-            if key not in _META:
-                raise MetaFormatError(f"unknown key {key!r}", lineno)
-            if key in found:
-                raise MetaFormatError(f"duplicate key {key!r}", lineno)
-            found[key] = (value, lineno)
+    parsers = {key: parse for key, (_, parse, _) in _META.items()}
+    found = read_entries(path, parsers, MetaFormatError)
     missing = [key for key in _META if key not in found]
     if missing:
         raise MetaFormatError(f"missing keys: {', '.join(missing)}")
-    fields = {}
-    for key, (attr, parse, _) in _META.items():
-        value, lineno = found[key]
-        try:
-            fields[attr] = parse(value)
-        except (ValueError, ParameterError) as exc:
-            raise MetaFormatError(f"bad value for {key}: {exc}", lineno) from None
+    fields = {attr: found[key] for key, (attr, _, _) in _META.items()}
     if fields.pop("r") != fields["ktilde"] + fields["stilde"]:
         raise MetaFormatError("r is inconsistent with ktilde + stilde")
     meta = FileMetadata(**fields)

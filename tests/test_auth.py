@@ -274,6 +274,30 @@ def test_keyfile_malformed(tmp_path):
             read_keyfile(path, M61)
 
 
+@pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
+def test_keyfile_skips_comment_and_blank_lines(fld, tmp_path):
+    sk = keygen(fld, random.Random(13))
+    path = tmp_path / "client.key"
+    write_keyfile(path, sk, fld)
+    alpha, kprf = path.read_text().splitlines()
+    path.write_text(f"# porcrs key\n\n  {alpha}  \n   # kept offline\n{kprf}\n")
+    assert read_keyfile(path, fld) == sk
+
+
+def test_keyfile_bad_value_reports_its_line(tmp_path):
+    path = tmp_path / "bad.key"
+    path.write_text(f"# key\nkprf={KEY.hex()}\nalpha=5x\n")
+    with pytest.raises(FormatError, match="^keyfile line 3: bad value for alpha: "):
+        read_keyfile(path, M61)
+    path.write_text("alpha=5\nkprf=zz\n")
+    with pytest.raises(FormatError, match="^keyfile line 2: bad value for kprf: "):
+        read_keyfile(path, M61)
+    # Keys are taken verbatim: a space before "=" makes an unknown key.
+    path.write_text(f"alpha =5\nkprf={KEY.hex()}\n")
+    with pytest.raises(FormatError, match="^keyfile line 1: unknown key 'alpha '"):
+        read_keyfile(path, M61)
+
+
 def test_context_validation():
     with pytest.raises(ParameterError):
         TagContext(b"short", 1, 1, 0)

@@ -1,5 +1,7 @@
 """CLI workflows over directory-backed servers."""
 
+import builtins
+import errno
 import os
 import random
 import shutil
@@ -253,6 +255,62 @@ def test_interrupted_repair_changes_nothing(workspace, monkeypatch, tmp_path_fac
     assert out.read_bytes() == data
     meta = store.read_meta("file.meta")
     assert audit(root, extra=["--l", str(meta.r)]) == 0
+
+
+class _DiskFullAfter7:
+    """A file whose first write stores 7 bytes and then fails with ENOSPC."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:7])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("earlier", [None, b"an earlier recovery\n"], ids=["new", "earlier"])
+def test_repair_output_is_written_in_one_step(workspace, monkeypatch, earlier):
+    tmp_path, root = workspace
+    data = b"R" * 997
+    keygen_and_outsource(tmp_path, root, data=data)
+    shutil.rmtree(root / "server_3")
+    out = tmp_path / "out.bin"
+    if earlier is not None:
+        out.write_bytes(earlier)
+    snapshot = depot_bytes(tmp_path)
+    repair = ["repair", "--root", str(root), "--meta", "file.meta", "--key", "client.key",
+              "--out", str(out)]
+    real_open = builtins.open
+
+    def open_full(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(path).startswith(out.name):
+            return _DiskFullAfter7(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_full)
+    assert main(repair) == 4
+    monkeypatch.setattr(builtins, "open", real_open)
+    # No output file (or the earlier one intact), no staged file, no share
+    # or metadata changed.
+    assert depot_bytes(tmp_path) == snapshot
+    assert main(repair) == 0
+    assert out.read_bytes() == data
+
+
+def test_keygen_refuses_to_replace_a_key(workspace):
+    keygen = ["keygen", "--key", "client.key", "--field", ZP, "--seed"]
+    assert main([*keygen, "1"]) == 0
+    key = Path("client.key").read_bytes()
+    assert main([*keygen, "2"]) == 6
+    assert Path("client.key").read_bytes() == key
 
 
 # The files outsource writes, in order: the shares of servers 1..5, then

@@ -201,6 +201,19 @@ def test_read_config_refuses_a_repeated_key(tmp_path):
         read_config(path)
 
 
+def test_read_config_skips_comments_and_takes_keys_verbatim(tmp_path):
+    path = tmp_path / "sim.conf"
+    path.write_text("  # budget first\n\nbudget=2\n   # then the seed\nseed=9\n")
+    cfg = read_config(path)
+    assert (cfg.budget, cfg.seed) == (2, 9)
+    path.write_text("seed=1\nbudget = 2\n")
+    with pytest.raises(ParameterError, match="config line 2: unknown key 'budget '"):
+        read_config(path)
+    path.write_text("seed=1\n\nepochs=three\n")
+    with pytest.raises(ParameterError, match="config line 3: bad value for epochs"):
+        read_config(path)
+
+
 def test_report_files(tmp_path):
     report = run(HarnessConfig(adversary="tamper", budget=1, epochs=2, seed=12))
     text, table = tmp_path / "report.txt", tmp_path / "report.tsv"

@@ -1,14 +1,15 @@
 """Server state machine: aggregates, self-updating parity, dumps."""
 
+import dataclasses
 import random
 
 import pytest
 
-from porcrs import client, crs
+from porcrs import client, crs, store
 from porcrs.auth import TagContext, keygen, tag_block, verify_block
 from porcrs.client import ChallengeSet
 from porcrs.errors import OrderRejectedError, ParameterError
-from porcrs.field import PrimeField, prime_field
+from porcrs.field import PrimeField, field_from_token, prime_field
 from porcrs.server import (
     apply_append,
     dump_all,
@@ -177,6 +178,55 @@ def test_apply_append_rejects_bad_shapes():
     )
     with pytest.raises(OrderRejectedError):
         apply_append(servers[1], wrong_fid)
+
+
+def _bad_orders(order, fld):
+    """Orders that differ from a good one in one vector that is not c
+    elements of fld."""
+    c = len(order.new_block)
+    if fld.kind == "prime":
+        bad_word, bad_tag = fld.order + 5, -1
+    else:
+        bad_word, bad_tag = fld.order + 44, 1.5
+    block = fld.vec_to_ints(order.new_block)
+    tag = fld.vec_to_ints(order.new_tag)
+    delta = fld.vec_to_ints(order.deltas[0])
+    return {
+        "block word outside the field": {"new_block": [bad_word] + block[1:]},
+        "tag word outside the field": {"new_tag": [bad_tag] + tag[1:]},
+        "tag of floats": {"new_tag": [float(x) for x in tag]},
+        "short delta": {"deltas": (delta[:-1] or [], *order.deltas[1:])},
+        "delta word outside the field": {"deltas": ([bad_word] * c, *order.deltas[1:])},
+        "block of text": {"new_block": "x" * c},
+        "block of None": {"new_block": None},
+    }
+
+
+@pytest.mark.parametrize("token, block_size", [("zp:2305843009213693951", 7), ("gf2:8", 64)])
+def test_apply_append_screens_every_vector(token, block_size):
+    fld = field_from_token(token)
+    rng = random.Random(11)
+    sk, params = client.setup(fld, 5, 3, 2, block_size=block_size, rng=rng)
+    row_bytes = 3 * block_size
+    meta, shares = client.outsource(sk, params, rng.randbytes(4 * row_bytes), rng=rng)
+    servers = client.make_server_states(meta, shares)
+    orders = client.append(sk, meta, client.row_blocks_from_payload(meta, rng.randbytes(row_bytes)))
+    state, order = servers[0], orders[0]
+    before = store.share_bytes(state)  # every cell, ktilde and ctr
+    for name, change in _bad_orders(order, fld).items():
+        with pytest.raises(OrderRejectedError, match="not .* elements"):
+            apply_append(state, dataclasses.replace(order, **change))
+        assert store.share_bytes(state) == before, name
+    # A good order given as plain lists is stored as the field's vectors.
+    apply_append(state, dataclasses.replace(
+        order, new_block=fld.vec_to_ints(order.new_block), new_tag=fld.vec_to_ints(order.new_tag)
+    ))
+    block, tag = state.cells[meta.ktilde - 1]
+    assert fld.vec_eq(block, order.new_block) and fld.vec_eq(tag, order.new_tag)
+    zero = fld.vec_zeros(1)
+    for vec in (block, tag):
+        assert type(vec) is type(zero)
+        assert getattr(vec, "dtype", None) == getattr(zero, "dtype", None)
 
 
 def test_read_block():

@@ -328,6 +328,16 @@ def test_meta_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_meta_skips_comment_and_blank_lines(tmp_path):
+    meta, _ = build_states(M61, random.Random(8))
+    path = tmp_path / "f.meta"
+    store.write_meta(meta, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["# client metadata", "", *lines[:3], "  # middle  ", *lines[3:]]))
+    loaded = store.read_meta(path)
+    assert store.meta_bytes(loaded) == store.meta_bytes(meta)
+
+
 def test_meta_missing_key(tmp_path):
     rng = random.Random(9)
     meta, _ = build_states(M61, rng)
