@@ -274,12 +274,10 @@ def _keyfile_error(message: str, line: int) -> FormatError:
 
 def write_keyfile(path, sk: SecretKey, fld: Field) -> None:
     """Two-line text keyfile; alpha decimal for prime fields, hex for binary."""
+    from . import store  # not at module load: store imports client, which imports auth
     entries = _keyfile_entries(fld).items()
     data = "".join(f"{key}={fmt(getattr(sk, key))}\n" for key, (_, fmt) in entries)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    with os.fdopen(fd, "w") as fh:
-        os.fchmod(fd, 0o600)  # os.open's mode applies only to a new file
-        fh.write(data)
+    store.replace_files({path: lambda: data.encode("ascii")})
 
 
 def read_keyfile(path, fld: Field) -> SecretKey:

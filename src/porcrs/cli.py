@@ -84,6 +84,16 @@ def cmd_outsource(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
     meta, shares = client.outsource(sk, params, data, rng=rng)
     meta_path = args.meta or f"{meta.fid.hex()}.meta"
+    if os.path.lexists(meta_path):
+        raise ParameterError(f"{meta_path} exists; refusing to orphan the file it describes")
+    for j in range(1, meta.n + 1):
+        # Shares under one fid share their tag contexts: a server holding
+        # two files' blocks under one context learns alpha.
+        if os.path.lexists(store.share_path(args.root, j, meta.fid)):
+            raise ParameterError(
+                f"server {j} holds a file with fid {meta.fid.hex()}; never reuse "
+                "a --seed for two files under one key"
+            )
     _commit(args.root, meta, shares, meta_path)
     print(f"fid={meta.fid.hex()}")
     print(f"grid: {meta.ktilde} data rows + {meta.stilde} parity rows x {meta.n} servers")
@@ -305,14 +315,13 @@ def cmd_bench(args) -> int:
         f"append bytes at ktilde/2*ktilde: {cost.bytes_small}/{cost.bytes_large}"
         f" (independent: {cost.independent_of_ktilde})"
     )
-    with open(args.bench_out, "w") as fh:
-        fh.write("file_bytes\tquery_size\tphase\tseconds\n")
-        for size, l, phase, secs in rows:
-            fh.write(f"{size}\t{l}\t{phase}\t{secs:.6f}\n")
-        fh.write(
-            f"0\t0\tappend_bytes\t{cost.bytes_small}\n"
-            f"0\t0\tappend_bytes_2k\t{cost.bytes_large}\n"
-        )
+    table = "".join([
+        "file_bytes\tquery_size\tphase\tseconds\n",
+        *(f"{size}\t{l}\t{phase}\t{secs:.6f}\n" for size, l, phase, secs in rows),
+        f"0\t0\tappend_bytes\t{cost.bytes_small}\n",
+        f"0\t0\tappend_bytes_2k\t{cost.bytes_large}\n",
+    ])
+    store.replace_files({args.bench_out: lambda: table.encode("ascii")})
     print(f"wrote table to {args.bench_out}")
     return 0
 

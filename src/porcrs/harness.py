@@ -21,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field, fields, replace
 
-from . import client, server
+from . import client, server, store
 from .errors import ParameterError
 from .field import field_from_token
 from .textfile import read_entries
@@ -394,15 +394,12 @@ def format_report(report: ExperimentReport) -> str:
 
 
 def write_report(report: ExperimentReport, text_path, table_path) -> None:
-    """Human-readable summary plus a TSV of per-audit verdicts."""
-    with open(text_path, "w") as fh:
-        fh.write(format_report(report))
-    with open(table_path, "w") as fh:
-        fh.write("epoch\taudit\tserver\tverdict\tcorrupted\n")
-        for stats in report.epochs:
-            corrupted = set(stats.corrupted)
-            for a, verdicts in enumerate(stats.verdicts):
-                for j, ok in enumerate(verdicts, 1):
-                    fh.write(
-                        f"{stats.epoch}\t{a}\t{j}\t{int(ok)}\t{int(j in corrupted)}\n"
-                    )
+    """Human-readable summary plus a TSV of per-audit verdicts, both or neither."""
+    table = ["epoch\taudit\tserver\tverdict\tcorrupted\n"]
+    for stats in report.epochs:
+        corrupted = set(stats.corrupted)
+        for a, verdicts in enumerate(stats.verdicts):
+            for j, ok in enumerate(verdicts, 1):
+                table.append(f"{stats.epoch}\t{a}\t{j}\t{int(ok)}\t{int(j in corrupted)}\n")
+    text = format_report(report)
+    store.replace_files({text_path: text.encode, table_path: lambda: "".join(table).encode()})

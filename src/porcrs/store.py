@@ -15,7 +15,7 @@ their blocks, so cell i is the 2c elements at header + (i - 1) * 2c
 elements: ``read_share`` decodes either the whole body or, for an audit,
 just the challenged cells.
 
-Every write goes through ``replace_files``: it writes each new file to
+Every file porcrs writes goes through ``replace_files``: it writes it to
 ``staged_path(path)`` and renames the staged files over their paths only
 once all are staged, so a file on disk is always complete.  ``outsource``,
 ``append`` and ``repair`` commit this way, their metadata last: a failure
@@ -59,24 +59,29 @@ def replace_files(stages) -> None:
     """Stage a new version of every file, then rename them all in order.
 
     ``stages`` maps each path to a callable that returns the file's new
-    bytes, or None to leave it as it is; each result is written out
-    (making its directory) before the next stage runs.  On any exception
-    every staged file is removed, and so is every file renamed into a path
-    that held no file before the call; then the error is re-raised.
+    bytes, or None to leave it as it is; each result is written out,
+    owner-only (0600), before the next stage runs.  On any exception every
+    staged file is removed, and so is every file renamed into a path that
+    held no file before the call; then the error is re-raised.
     """
+    def owner_only(name, flags):
+        fd = os.open(name, flags, 0o600)
+        os.fchmod(fd, 0o600)  # os.open's mode misses a staged file left by a killed run
+        return fd
+
     staged, created = [], []
     try:
         for path, stage in stages.items():
             data = stage()
             if data is not None:
                 os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
-                with open(staged_path(path), "wb") as fh:
+                with open(staged_path(path), "wb", opener=owner_only) as fh:
                     fh.write(data)
                 staged.append((path, os.path.lexists(path)))
-        for path, existed in staged:
+        # Listed before any rename: a failure just after one must undo it too.
+        created = [path for path, existed in staged if not existed]
+        for path, _ in staged:
             os.replace(staged_path(path), path)
-            if not existed:
-                created.append(path)
     except BaseException:
         for path in [*map(staged_path, stages), *created]:
             with contextlib.suppress(OSError):

@@ -274,6 +274,13 @@ def test_keyfile_malformed(tmp_path):
             read_keyfile(path, M61)
 
 
+def test_keyfile_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "bad.key"
+    path.write_bytes(b"alpha=5\nkprf=\xff\xfe\n")
+    with pytest.raises(FormatError, match="keyfile line 2: line is not UTF-8 text"):
+        read_keyfile(path, M61)
+
+
 @pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
 def test_keyfile_skips_comment_and_blank_lines(fld, tmp_path):
     sk = keygen(fld, random.Random(13))

@@ -2,9 +2,11 @@
 
 import builtins
 import errno
+import io
 import os
 import random
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import porcrs
-from porcrs import client, store
+from porcrs import client, harness, store
 from porcrs.cli import main
 
 
@@ -303,6 +305,89 @@ def test_repair_output_is_written_in_one_step(workspace, monkeypatch, earlier):
     assert depot_bytes(tmp_path) == snapshot
     assert main(repair) == 0
     assert out.read_bytes() == data
+
+
+def fill_disk(monkeypatch, name=""):
+    """Make every write-mode open of a file whose name starts with ``name``
+    store 7 bytes and then fail with ENOSPC; returns the real ``open``."""
+    real_open = builtins.open
+
+    def open_full(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(str(file)).startswith(name):
+            return _DiskFullAfter7(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_full)
+    monkeypatch.setattr(io, "open", open_full)  # what os.fdopen calls
+    return real_open
+
+
+def restore_open(monkeypatch, real_open):
+    monkeypatch.setattr(builtins, "open", real_open)
+    monkeypatch.setattr(io, "open", real_open)
+
+
+def test_failed_keygen_leaves_no_keyfile(workspace, monkeypatch):
+    # A keyfile cut after 7 bytes ("alpha=1") would fail to load, and keygen
+    # would then refuse to replace it.
+    tmp_path, _ = workspace
+    keygen = ["keygen", "--key", "client.key", "--field", ZP, "--seed", "1"]
+    real_open = fill_disk(monkeypatch)
+    assert main(keygen) == 4
+    restore_open(monkeypatch, real_open)
+    assert list(tmp_path.iterdir()) == []
+    assert main(keygen) == 0
+
+
+BENCH = ["bench", "--field", "gf2:16", "--n", "5", "--k", "3", "--stilde", "2",
+         "--block-size", "64", "--sizes", "4096", "--query-sizes", "2",
+         "--bench-out", "bench.tsv", "--seed", "0"]
+
+
+def test_failed_bench_table_write_leaves_no_table(workspace, monkeypatch):
+    tmp_path, root = workspace
+    real_open = fill_disk(monkeypatch, "bench.tsv")
+    assert main([*BENCH, "--root", str(root)]) == 4
+    restore_open(monkeypatch, real_open)
+    assert list(tmp_path.iterdir()) == []
+
+
+def leave_staged(*paths):
+    """A staged file readable by others at each path, as a killed run
+    leaves it."""
+    for path in paths:
+        staged = Path(store.staged_path(path))
+        staged.parent.mkdir(parents=True, exist_ok=True)
+        staged.write_bytes(b"left by a killed run\n")
+        staged.chmod(0o644)
+
+
+def test_every_written_file_is_owner_only(workspace):
+    tmp_path, root = workspace
+    umask = os.umask(0o022)  # a plainly created file would be 0644
+    try:
+        leave_staged("client.key", "file.meta")
+        keygen_and_outsource(tmp_path, root)
+        meta = store.read_meta("file.meta")
+        shares = [store.share_path(root, j, meta.fid) for j in range(1, meta.n + 1)]
+        (row,) = write_rows(tmp_path, b"A")
+        leave_staged(shares[0], "file.meta")
+        assert append_file(root, row) == 0
+        leave_staged(shares[1], "out.bin")
+        assert main(["repair", "--root", str(root), "--meta", "file.meta",
+                     "--key", "client.key", "--out", "out.bin"]) == 0
+        leave_staged("bench.tsv")
+        assert main([*BENCH, "--root", str(root)]) == 0
+        leave_staged("report.txt", "report.tsv")
+        report = harness.run(harness.HarnessConfig(adversary="tamper", budget=1, epochs=2))
+        harness.write_report(report, "report.txt", "report.tsv")
+    finally:
+        os.umask(umask)
+    written = ["client.key", "file.meta", *shares, "out.bin", "bench.tsv", "report.txt",
+               "report.tsv"]
+    modes = {path: stat.S_IMODE(os.stat(path).st_mode) for path in written}
+    assert modes == dict.fromkeys(written, 0o600)
 
 
 def test_keygen_refuses_to_replace_a_key(workspace):
@@ -635,6 +720,16 @@ def test_alpha_zero_keyfile_exit_code(workspace, field):
     with open("client.key", "w") as fh:
         fh.write(f"alpha=0\n{kprf}\n")
     assert audit(root) == 4
+
+
+def test_meta_that_is_not_utf8_exit_code(workspace, capsys):
+    tmp_path, root = workspace
+    keygen_and_outsource(tmp_path, root)
+    lines = Path("file.meta").read_bytes().splitlines(keepends=True)
+    Path("file.meta").write_bytes(b"".join([*lines[:2], b"fid=\xff\xfe\n", *lines[3:]]))
+    capsys.readouterr()
+    assert main(["status", "--root", str(root), "--meta", "file.meta"]) == 4
+    assert "line 3: line is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_missing_meta_exit_code(workspace):

@@ -1,6 +1,9 @@
 """Simulation harness: determinism, adversaries, evasion rates, costs."""
 
+import builtins
+import errno
 import math
+import os
 import random
 
 import pytest
@@ -214,6 +217,13 @@ def test_read_config_skips_comments_and_takes_keys_verbatim(tmp_path):
         read_config(path)
 
 
+def test_read_config_refuses_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "sim.conf"
+    path.write_bytes(b"seed=1\nadversary=\xe9\n")
+    with pytest.raises(ParameterError, match="config line 2: line is not UTF-8 text"):
+        read_config(path)
+
+
 def test_report_files(tmp_path):
     report = run(HarnessConfig(adversary="tamper", budget=1, epochs=2, seed=12))
     text, table = tmp_path / "report.txt", tmp_path / "report.tsv"
@@ -223,3 +233,22 @@ def test_report_files(tmp_path):
     rows = table.read_text().splitlines()
     assert rows[0] == "epoch\taudit\tserver\tverdict\tcorrupted"
     assert len(rows) == 1 + report.audits_total
+
+
+def test_failed_table_write_leaves_neither_report_file(tmp_path, monkeypatch):
+    report = run(HarnessConfig(adversary="tamper", budget=1, epochs=2, seed=12))
+    text, table = tmp_path / "report.txt", tmp_path / "report.tsv"
+    real_open = builtins.open
+
+    def open_full(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(file).startswith(table.name):
+            fh.close()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_full)
+    with pytest.raises(OSError):
+        write_report(report, text, table)
+    monkeypatch.setattr(builtins, "open", real_open)
+    assert list(tmp_path.iterdir()) == []

@@ -157,3 +157,24 @@ def test_interrupted_append_then_repair(depot, monkeypatch, field, then_append):
         oracle.reused.clear()
         assert porcrs("append", row_b) == 0
     oracle.check()
+
+
+@pytest.mark.parametrize("taken", ["fid", "meta"])
+@pytest.mark.parametrize("field", FIELDS)
+def test_outsource_refuses_a_taken_fid_or_metadata_path(depot, field, taken):
+    # One --seed gives one fid: a second file under it would be tagged
+    # under the first file's contexts.  An existing --meta would be orphaned.
+    tmp_path, porcrs, oracle = depot
+    start(tmp_path, porcrs, field)
+    token, block_size = FIELDS[field]
+    other = tmp_path / "other.bin"
+    other.write_bytes(bytes(range(255, -1, -1)) * 11 + bytes(184))
+    seed, meta = (1, "other.meta") if taken == "fid" else (2, "file.meta")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert porcrs("outsource", "--n", N, "--k", K, "--stilde", STILDE, "--field", token,
+                  "--block-size", block_size, "--eps-p", "0.005", "--seed", seed,
+                  "--meta", meta, other) == 6
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    oracle.check()
+    r = store.read_meta(tmp_path / "file.meta").r
+    assert porcrs("audit", "--l", r, "--seed", 3) == 0

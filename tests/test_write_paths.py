@@ -1,9 +1,10 @@
-"""Every file write, rename and removal in porcrs sits in a known function.
+"""Every file write, rename and removal in porcrs sits in the commit step.
 
-Depot files are committed only through ``store.replace_files``, so one
-recorder there sees every write that touches a share or the metadata.  This
-check reads the package source with ``ast`` and fails on any other call
-that writes, renames or removes a file.
+Every file porcrs writes, depot or not, is committed only through
+``store.replace_files``, so one recorder there sees every write, and one
+mode rule there covers every file.  This check reads the package source
+with ``ast`` and fails on any other call that writes, renames, removes or
+changes the mode of a file.
 """
 
 import ast
@@ -13,17 +14,14 @@ import porcrs
 
 SOURCE = Path(porcrs.__file__).parent
 
-# module.function -> why it may write outside replace_files.
+# module.function -> why it may write.
 ALLOWED = {
-    "store.replace_files": "stages, renames and cleans up every depot file",
-    "auth.write_keyfile": "creates the keyfile readable by its owner only",
-    "cli.cmd_bench": "writes its TSV timing table",
-    "harness.write_report": "writes the simulation's summary and TSV",
+    "store.replace_files": "stages owner-only files, renames and cleans up every file",
 }
 
 _OS_CALLS = {
     "open", "replace", "rename", "renames", "remove", "unlink", "makedirs", "mkdir",
-    "rmdir", "truncate",
+    "rmdir", "truncate", "chmod", "fchmod",
 }
 _WRITE_MODES = set("wax+")
 
@@ -108,6 +106,8 @@ def f(p):
     os.replace(p, p)
     os.open(p, 0)
     os.makedirs(p)
+    os.chmod(p, 0o644)
+    os.fchmod(3, 0o600)
     os.path.join(p, p)
     class C:
         def g(self):
@@ -124,6 +124,8 @@ def h(p):
         ("m.f", "os.replace"),
         ("m.f", "os.open"),
         ("m.f", "os.makedirs"),
+        ("m.f", "os.chmod"),
+        ("m.f", "os.fchmod"),
         ("m.f", "os.remove"),
         ("m.h", "open mode 'xb'"),
     ]
