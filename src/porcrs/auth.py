@@ -29,8 +29,13 @@ GF(2^w) each cell's chunks go through three C-level passes, 256 chunks
 at a time: copy the cell state, update each copy, join the digests.
 prf, prf_vector, tag_block, tag_delta and verify_block are one-cell
 wrappers over it, and the client calls it once per server for outsource,
-append and audit.  The mask cache keeps data cells only (counter 0, a
-context that never changes), whoever calls it.
+append and audit.  An append asks for 1 + 2 stilde cells per server (the
+new data cell and each parity slot at its old and new context), but an
+in-memory append after the first asks for 1 + stilde: it reuses the
+masks the previous append left on the metadata.  A ``porcrs append``
+process reads fresh metadata and asks for 1 + 2 stilde.  The mask cache
+keeps data cells only (counter 0, a context that never changes), whoever
+calls it.
 
 alpha is never 0: with alpha = 0 a tag is its mask alone, and any block
 would verify.

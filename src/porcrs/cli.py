@@ -72,7 +72,14 @@ def cmd_keygen(args) -> int:
     return 0
 
 
+def _refuse_existing_meta(path) -> None:
+    if os.path.lexists(path):
+        raise ParameterError(f"{path} exists; refusing to orphan the file it describes")
+
+
 def cmd_outsource(args) -> int:
+    if args.meta:
+        _refuse_existing_meta(args.meta)  # before the whole file is encoded and tagged
     fld = field_from_token(args.field)
     sk = read_keyfile(args.key, fld)
     params = client.SchemeParams(
@@ -84,8 +91,7 @@ def cmd_outsource(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
     meta, shares = client.outsource(sk, params, data, rng=rng)
     meta_path = args.meta or f"{meta.fid.hex()}.meta"
-    if os.path.lexists(meta_path):
-        raise ParameterError(f"{meta_path} exists; refusing to orphan the file it describes")
+    _refuse_existing_meta(meta_path)
     for j in range(1, meta.n + 1):
         # Shares under one fid share their tag contexts: a server holding
         # two files' blocks under one context learns alpha.
@@ -250,6 +256,9 @@ def cmd_status(args) -> int:
     return 0
 
 
+_BENCH_APPENDS = 5
+
+
 def cmd_bench(args) -> int:
     fld = field_from_token(args.field)
     sizes = [int(s) for s in args.sizes.split(",") if s]
@@ -289,6 +298,17 @@ def cmd_bench(args) -> int:
             )
             rows.append((size, l, "prove", prove_s))
             rows.append((size, l, "verify", verify_s))
+        # Client-side latency of consecutive appends to the file in memory.
+        payload = client.block_payload_size(fld, meta.chunks) * meta.k
+        append_s = []
+        for _ in range(_BENCH_APPENDS):
+            row = client.row_blocks_from_payload(meta, rng.randbytes(payload))
+            t0 = time.perf_counter()
+            client.append(sk, meta, row)
+            append_s.append(time.perf_counter() - t0)
+        append_s = statistics.median(append_s)
+        print(f"|F|={size}: append {append_s * 1e3:.1f} ms (median of {_BENCH_APPENDS})")
+        rows.append((size, 0, "append", append_s))
     # The PRF layer alone: one server's masks at this block size, per cell.
     chunks = client.chunks_per_block(fld, args.block_size)
     per_cell = []

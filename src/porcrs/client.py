@@ -11,10 +11,17 @@ which starts at 1, so no data cell and parity cell ever share a PRF input.
 Appends add one grid row: the client row-encodes the k new blocks, tags
 them at counter 0, and ships each server its new cell plus one tag delta
 per parity slot; servers update their own parity blocks, so nothing is
-downloaded.  Audits challenge l random rows with random coefficients and
-check the servers' aggregates against locally recomputed PRF masks; parity
-rows are checked at the current append counter, which is what makes stale
-(pre-append) parity detectable.  When a server fails too often, the client
+downloaded.  A delta needs each parity slot's PRF mask at its old and at
+its new (row, counter).  The old contexts are the new ones of the append
+before, so the metadata object carries each server's new parity masks to
+the next append, never persisted: an in-memory append after the first
+asks the PRF for 1 + stilde cells per server, while one on freshly read
+metadata (each ``porcrs append`` process) asks for 1 + 2 stilde.  The
+carry reissues no tag context; it only skips recomputing masks.  Audits
+challenge l random rows with random coefficients and check the servers'
+aggregates against locally recomputed PRF masks; parity rows are checked
+at the current append counter, which is what makes stale (pre-append)
+parity detectable.  When a server fails too often, the client
 pulls every share, turns tag mismatches into erasures, and runs row-wise
 and column-wise erasure decoding to a fixpoint before re-encoding and
 re-sharing.
@@ -84,6 +91,9 @@ class FileMetadata:
     eps_p: float
     window: int
     audit_history: dict = dc_field(default_factory=dict)
+    # (key, masks) left by the last append: masks[j - 1] holds server j's
+    # parity masks at the current (row, counter), key what they depend on.
+    parity_masks: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     @property
     def r(self) -> int:
@@ -277,12 +287,19 @@ def row_blocks_from_payload(meta: FileMetadata, data: bytes):
     return _payload_blocks(fld, data, meta.chunks)
 
 
+def _mask_key(sk: SecretKey, meta: FileMetadata, ktilde: int, ctr: int) -> tuple:
+    """What each server's parity masks at (ktilde + slot, ctr) depend on."""
+    return (sk.kprf, meta.fid, meta.n, ktilde, ctr, meta.stilde, meta.chunks, meta.field.token)
+
+
 def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
     """Append one row of k data blocks; returns one order per server.
 
     Mutates the metadata (ktilde and ctr advance).  The client computes the
     new cells and the parity-slot tag deltas from the new row alone --
-    nothing is fetched from the servers.
+    nothing is fetched from the servers.  The parity masks the previous
+    append left on this metadata under this key stand in for the old ones;
+    any other metadata or key recomputes them.
     """
     fld = meta.field
     if len(row_blocks) != meta.k:
@@ -305,26 +322,36 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
     encoded = row_code.encode_vectors(list(row_blocks))
     col_ext = crs.canonical_matrix(meta.stilde, ktilde_new, fld)
 
+    # The carry is taken off the metadata first, so that a failure below
+    # leaves none behind.
+    carry, meta.parity_masks = meta.parity_masks, None
+    held = None
+    if carry is not None and carry[0] == _mask_key(sk, meta, ktilde_old, ctr_old):
+        held = list(carry[1])
+    del carry
+
     # Per server, one PRF batch: the new cell, then each parity slot at its
-    # old and at its new (row, counter).
+    # old (unless held) and at its new (row, counter).
     slots = range(1, meta.stilde + 1)
     cells = [(ktilde_new, 0)]
-    cells += [(ktilde_old + slot, ctr_old) for slot in slots]
+    if held is None:
+        cells += [(ktilde_old + slot, ctr_old) for slot in slots]
     cells += [(ktilde_new + slot, ctr_new) for slot in slots]
-    orders = []
+    orders, carried = [], []
     for j in range(1, meta.n + 1):
         blk = encoded[j - 1]
-        masks = auth.prf_masks(sk.kprf, meta.fid, j, cells, meta.chunks, fld)
-        new_tag = auth.tags_from_masks(sk.alpha, masks[:1], [blk], fld)[0]
-        deltas = auth.tag_deltas(
-            sk.alpha,
-            masks[1 : 1 + meta.stilde],
-            masks[1 + meta.stilde :],
-            col_ext.parity_delta(blk),
-            fld,
-        )
+        cell_mask, *parity = auth.prf_masks(sk.kprf, meta.fid, j, cells, meta.chunks, fld)
+        if held is None:
+            old, new = parity[: meta.stilde], parity[meta.stilde :]
+        else:
+            old, new, held[j - 1] = held[j - 1], parity, None
+        new_tag = auth.tags_from_masks(sk.alpha, [cell_mask], [blk], fld)[0]
+        deltas = auth.tag_deltas(sk.alpha, old, new, col_ext.parity_delta(blk), fld)
         orders.append(AppendOrder(meta.fid, j, ctr_new, blk, new_tag, tuple(deltas)))
-    meta.ktilde, meta.ctr = ktilde_new, ctr_new
+        carried.append(new)
+    meta.ktilde, meta.ctr, meta.parity_masks = (
+        ktilde_new, ctr_new, (_mask_key(sk, meta, ktilde_new, ctr_new), tuple(carried))
+    )
     # The zero padding of a partial last row becomes file content.
     meta.original_length = ktilde_new * block_payload_size(fld, meta.chunks) * meta.k
     return orders
@@ -475,5 +502,5 @@ def redistribute(sk: SecretKey, meta: FileMetadata, dumps) -> RedistributeResult
     ctr_new = meta.ctr + 1
     grid = _product_encode(fld, data_rows, meta.n, meta.k, stilde_new)
     shares = _tag_grid(sk, fld, meta.fid, grid, meta.ktilde, parity_ctr=ctr_new)
-    fresh = replace(meta, stilde=stilde_new, ctr=ctr_new, audit_history={})
+    fresh = replace(meta, stilde=stilde_new, ctr=ctr_new, audit_history={}, parity_masks=None)
     return RedistributeResult(data=data, meta=fresh, shares=shares)

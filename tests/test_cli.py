@@ -756,9 +756,28 @@ def test_bench_writes_table(workspace, capsys):
     assert len(prf_rows) == 1
     size, l, _, secs = prf_rows[0]
     assert (size, l) == ("0", "0") and float(secs) > 0
+    append_rows = [row.split("\t") for row in rows if "\tappend\t" in row]
+    assert len(append_rows) == 1
+    size, l, _, secs = append_rows[0]
+    assert (size, l) == ("4096", "0") and float(secs) > 0
     out = capsys.readouterr().out
     assert "append bytes" in out
     assert "us per cell of 32 chunks" in out
+    assert "|F|=4096: append " in out
+
+
+def test_outsource_refuses_an_existing_meta_before_encoding(workspace, monkeypatch, capsys):
+    tmp_path, root = workspace
+    src = keygen_and_outsource(tmp_path, root)
+    before = depot_bytes(tmp_path)
+
+    def encode(*args, **kwargs):
+        raise AssertionError("outsource ran before the --meta check")
+
+    monkeypatch.setattr(client, "outsource", encode)
+    assert outsource(root, src, seed=2) == 6
+    assert "file.meta exists" in capsys.readouterr().err
+    assert depot_bytes(tmp_path) == before
 
 
 def test_bench_prints_outsource_throughput(workspace, capsys):

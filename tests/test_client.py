@@ -1,11 +1,12 @@
 """Client protocol: outsourcing oracle, appends, audits, redistribution."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
-from porcrs import auth, client, crs, server
+from porcrs import auth, client, crs, server, store
 from porcrs.auth import keygen, prf
 from porcrs.client import (
     cell_context,
@@ -674,3 +675,105 @@ def test_append_orders_match_per_cell_tags(token):
                     fld,
                 )
                 assert fld.vec_eq(delta, want)
+
+
+FIELDS = {"zp": M61, "gf2:8": binary_field(8), "gf2:16": binary_field(16)}
+
+
+def order_bytes(orders, fld):
+    """Every order's header and its block, tag and deltas as stored bytes."""
+    return [
+        (o.fid, o.server, o.target_ctr, fld.vectors_to_bytes([o.new_block, o.new_tag, *o.deltas]))
+        for o in orders
+    ]
+
+
+def spy_on_prf_masks(monkeypatch):
+    """Record the cell count of every prf_masks call."""
+    asked = []
+    kernel = auth.prf_masks
+
+    def spy(kprf, fid, j, cells, count, fld, **kwargs):
+        asked.append(len(cells))
+        return kernel(kprf, fid, j, cells, count, fld, **kwargs)
+
+    monkeypatch.setattr(auth, "prf_masks", spy)
+    return asked
+
+
+def next_row(meta, rng):
+    payload = client.block_payload_size(meta.field, meta.chunks) * meta.k
+    return client.row_blocks_from_payload(meta, rng.randbytes(payload))
+
+
+@pytest.mark.parametrize("token", sorted(FIELDS))
+def test_carried_parity_masks_give_the_same_orders(token, monkeypatch):
+    # Each append leaves its new parity masks on the metadata; the next one
+    # uses them as its old masks.  Its orders must be those of an append
+    # that recomputes them.
+    fld = FIELDS[token]
+    rng = random.Random(41)
+    sk, params = setup(fld, 6, 4, 3, block_size=8, rng=rng)
+    meta, _ = outsource(sk, params, rng.randbytes(50), rng=rng)
+    twin = dataclasses.replace(meta)
+    asked = spy_on_prf_masks(monkeypatch)
+    for t in range(4):
+        row = next_row(meta, rng)
+        asked.clear()
+        orders = client.append(sk, meta, row)
+        assert asked == [1 + (1 if t else 2) * meta.stilde] * meta.n
+        twin.parity_masks = None
+        assert order_bytes(orders, fld) == order_bytes(client.append(sk, twin, row), fld)
+        assert meta == twin
+
+
+def fallback_cases(tmp_path):
+    """(name, meta, key) pairs an append must not use a carry for."""
+    rng = random.Random(42)
+    # eps_p = 0.2 with one parity row: the appends below push the parity
+    # fraction under it, so redistribute grows stilde.
+    sk, params = setup(M61, 5, 3, 1, eps_p=0.2, rng=rng)
+    meta, shares = outsource(sk, params, rng.randbytes(42), rng=rng)
+    servers = client.make_server_states(meta, shares)
+    for _ in range(6):
+        orders = client.append(sk, meta, next_row(meta, rng))
+        for state, order in zip(servers, orders):
+            server.apply_append(state, order)
+    assert meta.parity_masks is not None
+    result = redistribute(sk, meta, [server.dump_all(state) for state in servers])
+    assert result.meta.ctr == meta.ctr + 1 and result.meta.stilde > meta.stilde
+    path = tmp_path / "file.meta"
+    path.write_bytes(store.meta_bytes(meta))
+    grown = dataclasses.replace(meta)
+    grown.stilde += 1
+    return rng, meta, [
+        ("other key", meta, keygen(M61, rng)),
+        ("redistributed", result.meta, sk),
+        ("redistributed with the old carry",
+         dataclasses.replace(result.meta, parity_masks=meta.parity_masks), sk),
+        ("stilde changed", grown, sk),
+        # What a redistribute that keeps stilde changes.
+        ("counter moved", dataclasses.replace(meta, ctr=meta.ctr + 1), sk),
+        ("read back", store.read_meta(path), sk),
+    ]
+
+
+def test_appends_outside_the_carry_key_recompute_every_mask(tmp_path, monkeypatch):
+    rng, meta, cases = fallback_cases(tmp_path)
+    asked = spy_on_prf_masks(monkeypatch)
+    for name, case, key in cases:
+        row = next_row(case, rng)
+        fresh = dataclasses.replace(case, parity_masks=None)
+        asked.clear()
+        orders = client.append(key, dataclasses.replace(case), row)
+        assert asked == [1 + 2 * case.stilde] * case.n, name
+        assert order_bytes(orders, M61) == order_bytes(client.append(key, fresh, row), M61), name
+
+
+def test_carry_is_invisible_outside_append(tmp_path):
+    _, meta, _ = fallback_cases(tmp_path)
+    bare = dataclasses.replace(meta, parity_masks=None)
+    assert meta.parity_masks is not None
+    assert store.meta_bytes(meta) == store.meta_bytes(bare)
+    assert meta == bare and repr(meta) == repr(bare)
+    assert "parity_masks" not in repr(meta)
