@@ -130,12 +130,16 @@ def _mismatch(state, allowed: dict) -> str:
 
 def _stage(order, path):
     """Read and check one server's share and apply its order; returns the
-    new share's bytes, or None when the share already took the order.  The
-    decoded share is dropped on return: decoded shares kept alive slow the
-    cyclic GC."""
+    new share's bytes, or None when the share already took the order.
+
+    Every word of the share is checked, but only the cells the order reads
+    or changes are decoded: the newest data row and the parity rows.  The
+    rows before them are written back as they were stored, so the decoding
+    costs the same at any file height; copying those bytes does not.
+    """
     j = order.server
     try:
-        state = store.read_share(path)
+        state = store.read_share(path, for_append=True)
     except FormatError as exc:
         raise FormatError(f"server {j}: {exc}") from None
     # The order targets the file's counter + 1, which an interrupted append

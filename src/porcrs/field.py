@@ -185,6 +185,11 @@ class Field:
         """
         raise NotImplementedError
 
+    def check_stored(self, data, offset: int, count: int) -> None:
+        """FieldMismatchError unless each of the count words stored at
+        data[offset:] by vectors_to_bytes is an element; decodes none."""
+        raise NotImplementedError
+
 
 class PrimeField(Field):
     """Z_p for an odd prime p < 2^62; vectors are tuples of ints."""
@@ -337,9 +342,15 @@ class PrimeField(Field):
         words = np.frombuffer(data, dtype="<u8", count=count * c, offset=offset)
         if picks is not None:
             words = words.reshape(count, c)[picks].ravel()
+        self._check_words(words)
+        return zip(*[iter(words.tolist())] * c)  # tuples of c ints
+
+    def check_stored(self, data, offset, count):
+        self._check_words(np.frombuffer(data, dtype="<u8", count=count, offset=offset))
+
+    def _check_words(self, words):
         if words.size and words.max() >= self.modulus:
             raise FieldMismatchError(f"stored element {words.max()} outside {self.token}")
-        return zip(*[iter(words.tolist())] * c)  # tuples of c ints
 
 
 class BinaryField(Field):
@@ -487,6 +498,9 @@ class BinaryField(Field):
         if picks is not None:
             words = words[picks]
         return iter(words.astype(self.dtype))  # rows of a writeable copy
+
+    def check_stored(self, data, offset, count):
+        pass  # every w-bit word is an element
 
 
 _FIELDS: dict[str, Field] = {}

@@ -12,8 +12,11 @@ against r cells before it decodes any of the body.  ``Field`` owns the
 element encoding of the body (8-byte words in Z_p, w/8-byte words in
 GF(2^w)), which is encoded as one array of 2rc elements.  Tags sit next to
 their blocks, so cell i is the 2c elements at header + (i - 1) * 2c
-elements: ``read_share`` decodes either the whole body or, for an audit,
-just the challenged cells.
+elements.  ``read_share`` decodes the whole body for a repair, just the
+challenged cells for an audit, and for an append only the cells it reads
+or changes -- the newest data row and the stilde parity rows -- after one
+pass that checks every word is an element; ``share_bytes`` then writes the
+rows before them back as the bytes they were stored as.
 
 Every file porcrs writes goes through ``replace_files``: it writes it to
 ``staged_path(path)`` and renames the staged files over their paths only
@@ -90,22 +93,28 @@ def replace_files(stages) -> None:
 
 
 def share_bytes(state: ServerState) -> bytes:
-    """Serialize a share whose every cell is present and of its shape."""
+    """Serialize a share whose every cell is present and of its shape.
+
+    The rows that ``TailCells`` keep as stored bytes are written verbatim.
+    """
     fld = state.field
     token = fld.token.encode("ascii")
-    if isinstance(state.cells, PartialCells):
+    cells, stored, first = state.cells, b"", 0
+    if isinstance(cells, PartialCells):
         raise ParameterError("share was read at some rows only; cannot serialize")
-    if None in state.cells:
-        raise ParameterError(f"cell {state.cells.index(None) + 1} is absent; cannot serialize")
-    body = fld.vectors_to_bytes(itertools.chain.from_iterable(state.cells))
-    if len(body) != 2 * state.r * state.chunks * fld.element_size:
+    if isinstance(cells, TailCells):
+        cells, stored, first = cells.tail, cells.stored, cells.head
+    if None in cells:
+        raise ParameterError(f"cell {first + cells.index(None) + 1} is absent; cannot serialize")
+    body = fld.vectors_to_bytes(itertools.chain.from_iterable(cells))
+    if len(stored) + len(body) != 2 * state.r * state.chunks * fld.element_size:
         raise ParameterError("cells do not match the share's r and chunk count")
     header = (
         _PREFIX.pack(MAGIC, VERSION, state.fid, len(token))
         + token
         + _SHAPE.pack(state.j, state.r, state.ktilde, state.stilde, state.ctr, state.chunks)
     )
-    return header + body
+    return b"".join([header, stored, body])
 
 
 def write_share(state: ServerState, path) -> None:
@@ -176,18 +185,67 @@ class PartialCells(Sequence):
             raise LookupError(f"row {index + 1} was not read from the share file") from None
 
 
-def read_share(path, rows=None) -> ServerState:
+class TailCells(Sequence):
+    """The cells of a share read for an append: index i - 1 holds row i.
+
+    Rows 1..head stay the bytes they were stored as, and raise LookupError;
+    only the rows after them are decoded.  Those can be set, and a row can
+    be inserted among them, as ``apply_append`` does; ``share_bytes`` writes
+    the stored rows back verbatim, then the decoded ones.
+    """
+
+    def __init__(self, head: int, stored, tail: list):
+        self.head = head
+        self.stored = stored  # the bytes of rows 1..head
+        self.tail = tail  # rows head + 1.., decoded
+
+    def __len__(self) -> int:
+        return self.head + len(self.tail)
+
+    def __getitem__(self, index):
+        return self.tail[self._tail_index(index, len(self) - 1)]
+
+    def __setitem__(self, index, cell):
+        self.tail[self._tail_index(index, len(self) - 1)] = cell
+
+    def insert(self, index, cell):
+        self.tail.insert(self._tail_index(index, len(self)), cell)
+
+    def _tail_index(self, index: int, last: int) -> int:
+        if not 0 <= index <= last:
+            raise IndexError(f"row {index + 1} out of range 1..{last + 1}")
+        if index < self.head:
+            raise LookupError(f"row {index + 1} was kept as stored bytes, not decoded")
+        return index - self.head
+
+
+def read_share(path, rows=None, *, for_append=False) -> ServerState:
     """Read and check the share file at ``path``.
 
     With ``rows`` (1-based, repeats allowed) only the header and those rows'
     cells are read, through a memory map, with one gather and one element
-    check; the state's cells are then ``PartialCells``.  Header and length
-    faults raise the same FormatError either way, and so does a word outside
-    the field in a cell that is read; one in an unread cell goes unseen.
+    check; the state's cells are then ``PartialCells``.  With ``for_append``
+    (and no rows) the whole file is read and every word checked in one pass
+    that decodes none; then only the newest data row and the parity rows
+    are decoded, and the state's cells are ``TailCells``.  Header and length
+    faults raise the same FormatError in every case, and so does a word
+    outside the field in a cell that is read; one in an unread cell goes
+    unseen.
     """
     with open(path, "rb") as fh:
         state, offset = _read_header(fh)
         fld, r = state.field, state.r
+        if for_append:
+            body = fh.read()
+            head = state.ktilde - 1
+            cut = head * 2 * state.chunks * fld.element_size
+            try:
+                fld.check_stored(body, 0, 2 * r * state.chunks)
+            except FieldMismatchError as exc:
+                raise FormatError(str(exc)) from None
+            halves = _decode(fld, body, cut, r - head, state.chunks)
+            state.cells = TailCells(head, memoryview(body)[:cut], list(zip(halves, halves)))
+            return state
         if rows is None:
             halves = _decode(fld, fh.read(), 0, r, state.chunks)
             state.cells = list(zip(halves, halves))  # consecutive halves are (block, tag)

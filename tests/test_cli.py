@@ -2,6 +2,7 @@
 
 import builtins
 import errno
+import hashlib
 import io
 import os
 import random
@@ -534,6 +535,10 @@ def damage_share(root, meta, damage):
         raw = raw[:-1]
     elif damage == "word":  # the last tag element, outside Z_p
         raw = raw[:-8] + (meta.field.order + 5).to_bytes(8, "little")
+    elif damage == "data-word":  # row 1's first block element, outside Z_p
+        assert meta.ktilde > 1  # so row 1 is neither the newest nor a parity row
+        off = len(raw) - meta.r * 2 * meta.chunks * 8
+        raw = raw[:off] + (meta.field.order + 5).to_bytes(8, "little") + raw[off + 8 :]
     elif damage == "short":  # one parity row fewer, with a consistent header
         state = store.read_share(victim)
         state.stilde -= 1
@@ -555,12 +560,15 @@ FIELD_IDS = {PRIME: "zp", BINARY: "gf2:16"}
         (damage, code, field)
         for damage, code in [("magic", 4), ("cut", 4), ("other-server", 8), ("short", 8)]
         for field in (PRIME, BINARY)
-    ] + [("word", 4, PRIME)],
+    ] + [("word", 4, PRIME), ("data-word", 4, PRIME)],
     ids=FIELD_IDS.get,
 )
 def test_append_with_damaged_share_writes_nothing(workspace, field, damage, code):
     tmp_path, root = workspace
-    keygen_and_outsource(tmp_path, root, field=field)
+    if damage == "data-word":  # 30 data rows
+        keygen_and_outsource(tmp_path, root, data=b"D" * 630, field=field)
+    else:
+        keygen_and_outsource(tmp_path, root, field=field)
     (row,) = write_rows(tmp_path, b"A")
     meta = store.read_meta("file.meta")
     damage_share(root, meta, damage)
@@ -568,6 +576,30 @@ def test_append_with_damaged_share_writes_nothing(workspace, field, damage, code
     assert append_file(root, row) == code
     # Also no staged file: depot_bytes lists every file of the workspace.
     assert depot_bytes(tmp_path) == before
+
+
+# SHA-256 of the five share files, in server order, then the metadata, after
+# three `porcrs append`s (rows of A, B and C) onto keygen_and_outsource's
+# depot: any change to the bytes an append writes fails here.
+APPEND_DIGESTS = {
+    PRIME: "0b1217d337180a84fee2c78b26b3fb4a31db15675bf548884b2ff326fa6e22bf",
+    BINARY: "1f5cd3d90bd95e8a3d1d20ef52b6961fd28d427fa6dc8bd3f3b2e8f5df0707ea",
+}
+
+
+@pytest.mark.parametrize("field", list(APPEND_DIGESTS), ids=FIELD_IDS.get)
+def test_cli_append_known_answer(workspace, field):
+    tmp_path, root = workspace
+    keygen_and_outsource(tmp_path, root, field=field)
+    for row in write_rows(tmp_path, b"A", b"B", b"C"):
+        assert append_file(root, row) == 0
+    meta = store.read_meta("file.meta")
+    assert meta.ctr == 4
+    digest = hashlib.sha256()
+    for j in range(1, meta.n + 1):
+        digest.update(Path(store.share_path(root, j, meta.fid)).read_bytes())
+    digest.update(Path("file.meta").read_bytes())
+    assert digest.hexdigest() == APPEND_DIGESTS[field]
 
 
 def test_status_names_mismatched_share_fields(workspace, capsys):
@@ -627,10 +659,34 @@ def test_status_reads_headers_only(workspace, capsys, monkeypatch, field):
     assert decoded == []
 
 
+@pytest.mark.parametrize("rows", [30, 3000])
+def test_append_decodes_the_same_cells_at_any_height(workspace, monkeypatch, rows):
+    # Each share's newest data row and its stilde parity rows are decoded;
+    # every other word is range-checked and copied as it was stored.
+    tmp_path, root = workspace
+    keygen_and_outsource(tmp_path, root, data=b"E" * (rows * 3 * 7))  # 7 bytes a zp block
+    meta = store.read_meta("file.meta")
+    assert meta.ktilde == rows
+    (row,) = write_rows(tmp_path, b"A")
+    decoded = []
+    cls = type(meta.field)
+    read = cls.vectors_from_bytes
+
+    def counting(self, *args, **kwargs):
+        decoded.append(0)
+        for vec in read(self, *args, **kwargs):
+            decoded[-1] += 1
+            yield vec
+
+    monkeypatch.setattr(cls, "vectors_from_bytes", counting)
+    assert append_file(root, row) == 0
+    assert decoded == [2 * (1 + meta.stilde)] * meta.n
+
+
 def test_audit_sees_a_bad_word_only_in_a_challenged_cell(workspace, capsys):
     # An audit reads the challenged cells alone; a word outside Z_p in any
-    # other cell waits for the audit that challenges it (or for append or
-    # repair, which decode every cell).
+    # other cell waits for the audit that challenges it (or for append,
+    # which checks every word, or repair, which decodes every cell).
     tmp_path, root = workspace
     keygen_and_outsource(tmp_path, root, data=b"D" * 30000)
     meta = store.read_meta("file.meta")

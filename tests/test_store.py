@@ -28,20 +28,25 @@ def build_states(fld, rng, block_size=64, rows=3):
     return meta, client.make_server_states(meta, shares)
 
 
-# build_states shares have r = 5.  Every reader check runs on a whole read
-# and on a read of the last, first and middle rows, one of them repeated.
+# build_states shares have r = 5.  Every reader check runs on a whole read,
+# on a read for an append, and on a read of the last, first and middle
+# rows, one of them repeated.
 ROWS = [5, 1, 3, 1]
-READS = (store.read_share, lambda path: store.read_share(path, ROWS))
+READS = (
+    store.read_share,
+    lambda path: store.read_share(path, for_append=True),
+    lambda path: store.read_share(path, ROWS),
+)
 
 
 def assert_unreadable(path, match=None):
-    """Both reads raise the same FormatError."""
+    """Every read raises the same FormatError."""
     messages = []
     for read in READS:
         with pytest.raises(FormatError, match=match) as caught:
             read(path)
         messages.append(str(caught.value))
-    assert messages[0] == messages[1]
+    assert len(set(messages)) == 1
 
 
 @pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
@@ -170,6 +175,37 @@ def test_row_read_matches_whole_read(fld, tmp_path):
         for i in set(range(1, r + 1)) - set(rows):
             with pytest.raises(LookupError, match=f"row {i} was not read"):
                 part.cells[i - 1]
+
+
+@pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
+def test_append_read_writes_back_what_a_whole_read_does(fld, tmp_path):
+    rng = random.Random(24)
+    sk, params = setup(fld, 5, 3, 2, block_size=64, rng=rng)
+    payload = 3 * client.block_payload_size(fld, client.chunks_per_block(fld, 64))
+    meta, shares = outsource(sk, params, rng.randbytes(9 * payload), rng=rng)
+    path = tmp_path / "x.share"
+    store.write_share(client.make_server_states(meta, shares)[2], path)
+    raw = path.read_bytes()
+    whole = store.read_share(path)
+    tail = store.read_share(path, for_append=True)
+    assert (whole.ktilde, whole.r) == (9, 11)
+    assert store.share_bytes(tail) == raw
+    for i in range(1, whole.ktilde):
+        with pytest.raises(LookupError, match=f"row {i} was kept as stored bytes"):
+            tail.cells[i - 1]
+    for i in range(whole.ktilde, whole.r + 1):
+        for got, want in zip(tail.cells[i - 1], whole.cells[i - 1]):
+            assert type(got) is type(want) and fld.vec_eq(got, want)
+    with pytest.raises(IndexError, match="row 12 out of range 1..11"):
+        tail.cells[11]
+    # Two appends later both reads serialize to the same bytes.
+    for _ in range(2):
+        row = client.row_blocks_from_payload(meta, rng.randbytes(payload))
+        order = client.append(sk, meta, row)[2]
+        server.apply_append(whole, order)
+        server.apply_append(tail, order)
+        assert store.share_bytes(tail) == store.share_bytes(whole)
+    assert len(tail.cells.stored) == 8 * 2 * whole.chunks * fld.element_size  # rows 1..8
 
 
 def test_partial_share_never_answers_for_an_unread_row(tmp_path):
