@@ -210,16 +210,19 @@ def clear_prf_cache() -> None:
 def tags_from_masks(alpha: int, masks, blocks, fld: Field) -> list:
     """mask + alpha * block for each cell: the tag formula.
 
-    Each cell's mask and block must have the same chunk count.  In Z_p one
+    Each cell's mask and block must have the same chunk count; blocks may
+    also be a 2-D array of stored words, one row per cell.  In Z_p one
     flat pass covers every chunk of every cell.
     """
     lengths = list(map(len, masks))
-    if lengths != list(map(len, blocks)):
+    stored = isinstance(blocks, np.ndarray)
+    if lengths != ([blocks.shape[1]] * len(blocks) if stored else list(map(len, blocks))):
         raise ParameterError("each cell's mask and block must have the same chunk count")
     if isinstance(fld, BinaryField):
         return [fld.vec_add(m, fld.vec_scale(alpha, b)) for m, b in zip(masks, blocks)]
     p = fld.order
-    pairs = zip(chain.from_iterable(masks), chain.from_iterable(blocks))
+    flat = blocks.ravel().tolist() if stored else chain.from_iterable(blocks)
+    pairs = zip(chain.from_iterable(masks), flat)
     # A generator, so that no list of a whole column's tags is held.
     tags = ((x + alpha * y) % p for x, y in pairs)
     return [tuple(islice(tags, c)) for c in lengths]

@@ -38,7 +38,7 @@ from . import auth, crs
 from .auth import SecretKey, TagContext
 from .errors import CapacityError, ParameterError
 from .field import Field
-from .server import ServerState, store_share
+from .server import Column, ServerState, store_share
 
 
 @dataclass
@@ -141,7 +141,7 @@ class RedistributeResult:
 
     data: bytes
     meta: FileMetadata
-    shares: list  # per server: list of (block, tag) cells
+    shares: list  # per server: a Column of (block, tag) cells
 
 
 def setup(
@@ -195,34 +195,59 @@ def _payload_blocks(fld: Field, data: bytes, chunks: int) -> list:
     return [flat[t : t + chunks] for t in range(0, len(flat), chunks)]
 
 
-def _split_blocks(fld: Field, data: bytes, k: int, chunks: int):
-    """Pad to a whole number of k-block rows and split into chunk vectors."""
+def _data_words(fld: Field, data: bytes, k: int, chunks: int):
+    """Pad to a whole number of k-block rows; the blocks' stored words as a
+    (rows, k, chunks) array."""
     row_bytes = block_payload_size(fld, chunks) * k
     padded = data + b"\x00" * (-len(data) % row_bytes)
-    blocks = _payload_blocks(fld, padded, chunks)
-    return [blocks[t : t + k] for t in range(0, len(blocks), k)]
+    return fld.payload_words(padded).reshape(-1, k, chunks)
 
 
-def _product_encode(fld: Field, data_rows, n: int, k: int, stilde: int):
-    """Column-encode the k primary columns, then row-encode every row."""
-    ktilde = len(data_rows)
+# Words of blocks decoded into field vectors at once while rows are
+# row-encoded: the bound on the vectors held for the dispersal code.
+_ROW_BATCH_WORDS = 1 << 14
+
+
+def _product_encode(fld: Field, data, n: int, k: int, stilde: int) -> list[Column]:
+    """Column-encode the k primary columns, then row-encode every row.
+
+    data is the data blocks' stored words, a (ktilde, k, c) array.  Returns
+    one new column per server with its blocks written and its tags still
+    to come.  Blocks become field vectors only a column, or a batch of
+    rows, at a time, so no grid of the whole file's vectors is ever held.
+    """
+    ktilde, _, c = data.shape
+    r = ktilde + stilde
+    columns = [Column.empty(fld, c, r) for _ in range(n)]
     col_code = crs.canonical_matrix(stilde, ktilde, fld)
-    cols = [col_code.encode_vectors([row[j] for row in data_rows]) for j in range(k)]
-    del col_code  # frees its inverse table and packed ints before the grid grows
+    for j, column in enumerate(columns[:k]):
+        blocks = column.words[:r, 0]
+        blocks[:ktilde] = data[:, j]
+        if stilde:
+            parity = col_code.encode_vectors(fld.vectors_from_words(blocks[:ktilde]))[ktilde:]
+            blocks[ktilde:] = fld.vectors_to_words(parity, c)
+    del col_code  # frees its inverse table and packed ints before the rows
     row_code = crs.row_code(n - k, k, fld)
-    return [row_code.encode_vectors([col[i] for col in cols]) for i in range(ktilde + stilde)]
+    batch = max(1, _ROW_BATCH_WORDS // (n * c))
+    for lo in range(0, r, batch):
+        hi = min(lo + batch, r)
+        message = [fld.vectors_from_words(column.words[lo:hi, 0]) for column in columns[:k]]
+        parity = [row_code.encode_vectors(list(row))[k:] for row in zip(*message)]
+        for t, column in enumerate(columns[k:]):
+            column.words[lo:hi, 0] = fld.vectors_to_words([p[t] for p in parity], c)
+    return columns
 
 
-def _tag_grid(sk: SecretKey, fld: Field, fid: bytes, grid, ktilde: int, parity_ctr: int):
-    """Tag every cell; returns per-server cell columns, one PRF batch each."""
-    cells = [(i, cell_ctr(ktilde, parity_ctr, i)) for i in range(1, len(grid) + 1)]
-    c = len(grid[0][0])
-    shares = []
-    for j0 in range(len(grid[0])):
-        blocks = [row[j0] for row in grid]
+def _tag_columns(sk: SecretKey, fld: Field, fid: bytes, columns, ktilde: int, parity_ctr: int):
+    """Tag every cell of the columns, in place, one PRF batch per server."""
+    r, c = len(columns[0]), columns[0].chunks
+    cells = [(i, cell_ctr(ktilde, parity_ctr, i)) for i in range(1, r + 1)]
+    for j0, column in enumerate(columns):
+        words = column.words[:r]
         masks = auth.prf_masks(sk.kprf, fid, j0 + 1, cells, c, fld)
-        shares.append(list(zip(blocks, auth.tags_from_masks(sk.alpha, masks, blocks, fld))))
-    return shares
+        tags = auth.tags_from_masks(sk.alpha, masks, words[:, 0], fld)
+        words[:, 1] = fld.vectors_to_words(tags, c)
+    return columns
 
 
 def outsource(
@@ -237,17 +262,17 @@ def outsource(
             rng.getrandbits(128).to_bytes(16, "big") if rng is not None else os.urandom(16)
         )
     chunks = chunks_per_block(fld, params.block_size)
-    data_rows = _split_blocks(fld, data, params.k, chunks)
-    ktilde = len(data_rows)
+    words = _data_words(fld, data, params.k, chunks)
+    ktilde = len(words)
     if ktilde + params.stilde0 > fld.order:
         raise CapacityError(
             f"file needs {ktilde} rows + {params.stilde0} parity rows, "
             f"exceeding the order of {fld.token}"
         )
-    grid = _product_encode(fld, data_rows, params.n, params.k, params.stilde0)
+    columns = _product_encode(fld, words, params.n, params.k, params.stilde0)
     # Parity starts at counter 1: at 0 it would share its PRF input with the
     # data row appended later at its row number, and that pair reveals alpha.
-    shares = _tag_grid(sk, fld, fid, grid, ktilde, parity_ctr=1)
+    shares = _tag_columns(sk, fld, fid, columns, ktilde, parity_ctr=1)
     meta = FileMetadata(
         fid=fid,
         field=fld,
@@ -439,12 +464,12 @@ def _decode_data_rows(sk: SecretKey, meta: FileMetadata, dumps):
     for j0, dump in enumerate(dumps):
         if dump is None:
             continue
+        if dump.cells.field != fld or dump.cells.chunks != c:
+            continue
         for i0, cell in enumerate(dump.cells[:r]):
             if cell is None:
                 continue
             block, tag = cell
-            if len(block) != c or len(tag) != c:
-                continue
             ctx = cell_context(meta.fid, ktilde, meta.ctr, i0 + 1, j0 + 1)
             if auth.verify_block(sk, block, tag, ctx, fld):
                 blocks[i0 * n + j0] = block
@@ -500,7 +525,10 @@ def redistribute(sk: SecretKey, meta: FileMetadata, dumps) -> RedistributeResult
 
     stilde_new = _target_stilde(meta)
     ctr_new = meta.ctr + 1
-    grid = _product_encode(fld, data_rows, meta.n, meta.k, stilde_new)
-    shares = _tag_grid(sk, fld, meta.fid, grid, meta.ktilde, parity_ctr=ctr_new)
+    words = fld.vectors_to_words([v for row in data_rows for v in row], meta.chunks)
+    del data_rows
+    words = words.reshape(-1, meta.k, meta.chunks)
+    columns = _product_encode(fld, words, meta.n, meta.k, stilde_new)
+    shares = _tag_columns(sk, fld, meta.fid, columns, meta.ktilde, parity_ctr=ctr_new)
     fresh = replace(meta, stilde=stilde_new, ctr=ctr_new, audit_history={}, parity_masks=None)
     return RedistributeResult(data=data, meta=fresh, shares=shares)

@@ -280,7 +280,7 @@ class DistributionMatrix:
         if self._last_col is None:
             y = self.sets.ys[-1]
             self._last_col = fld.inv_many([fld.sub(x, y) for x in self.sets.xs])
-        return [fld.vec_scale(a, new_vec) for a in self._last_col]
+        return fld.vec_scale_many(self._last_col, new_vec)
 
     # -- erasure decoding ------------------------------------------------
 

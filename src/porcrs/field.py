@@ -21,6 +21,7 @@ threads.
 from __future__ import annotations
 
 import itertools
+import operator
 import struct
 
 import numpy as np
@@ -73,6 +74,7 @@ class Field:
     order: int
     token: str
     element_size: int  # bytes per element in persisted artifacts
+    stored_dtype: np.dtype  # numpy dtype of one persisted element
     payload_size: int  # file-payload bytes packed into one element
 
     def check_element(self, a: int) -> int:
@@ -135,6 +137,11 @@ class Field:
     def vec_scale(self, s: int, v):
         raise NotImplementedError
 
+    def vec_scale_many(self, scalars, v):
+        """s * v for each scalar s, in order: a list of vectors, or in
+        GF(2^w) the rows of one 2-D array."""
+        return [self.vec_scale(s, v) for s in scalars]
+
     def vec_combine(self, coeffs, vecs):
         """Sum of coeffs[i] * vecs[i]; vecs may also be a stacked 2-D array."""
         raise NotImplementedError
@@ -169,6 +176,11 @@ class Field:
         """Decode file-payload bytes (len a multiple of payload_size)."""
         raise NotImplementedError
 
+    def payload_words(self, data: bytes):
+        """The elements of file-payload bytes, as a 1-D array of stored
+        words: what chunks_from_payload gives, undecoded."""
+        raise NotImplementedError
+
     def chunks_to_payload(self, v) -> bytes:
         raise NotImplementedError
 
@@ -176,18 +188,23 @@ class Field:
         """Stored form of vectors: each element little-endian in element_size bytes."""
         raise NotImplementedError
 
-    def vectors_from_bytes(self, data, offset: int, count: int, c: int, picks=None):
-        """Iterator over count vectors of c elements stored at data[offset:]
-        by vectors_to_bytes; FieldMismatchError if a word is not an element.
-
-        With picks (0-based vector indices, repeats allowed) only those
-        vectors are gathered, checked and decoded, in the order given.
-        """
+    def vectors_to_words(self, vecs, c: int):
+        """A (len(vecs), c) array of the vectors' stored words, in
+        ``stored_dtype``; the vectors must be elements already."""
         raise NotImplementedError
 
-    def check_stored(self, data, offset: int, count: int) -> None:
-        """FieldMismatchError unless each of the count words stored at
-        data[offset:] by vectors_to_bytes is an element; decodes none."""
+    def vectors_from_words(self, words) -> list:
+        """The rows of a 2-D array of stored words, as vectors; the words
+        must have passed ``check_words``."""
+        raise NotImplementedError
+
+    def check_words(self, words) -> None:
+        """FieldMismatchError unless every stored word of the array is an
+        element; decodes none."""
+        raise NotImplementedError
+
+    def add_words(self, a, b):
+        """The element-wise sum of two arrays of stored words."""
         raise NotImplementedError
 
 
@@ -205,6 +222,7 @@ class PrimeField(Field):
         self.order = p
         self.token = f"zp:{p}"
         self.element_size = 8
+        self.stored_dtype = np.dtype("<u8")
         # 7-byte payload groups stay below 2^56 < p for any 61+-bit prime;
         # smaller primes get the widest group that still fits (toy moduli
         # like Z_11 carry no payload and only serve the coding layer).
@@ -278,15 +296,20 @@ class PrimeField(Field):
     def vec_combine(self, coeffs, vecs):
         if len(coeffs) != len(vecs):
             raise ParameterError("one coefficient per vector required")
-        if not vecs:
+        if not len(vecs):
             raise ParameterError("vec_combine needs at least one vector")
-        c = len(vecs[0])
+        if isinstance(vecs, np.ndarray):
+            columns = vecs.T.tolist()  # stored words, as Python ints
+        elif len(set(map(len, vecs))) > 1:
+            raise ParameterError("vectors must have the same length")
+        else:
+            columns = [map(operator.itemgetter(u), vecs) for u in range(len(vecs[0]))]
         p = self.modulus
         out = []
-        for u in range(c):
+        for column in columns:
             acc = 0
-            for s, v in zip(coeffs, vecs):
-                acc += s * v[u]
+            for s, x in zip(coeffs, column):
+                acc += s * x
             out.append(acc % p)
         return tuple(out)
 
@@ -311,6 +334,9 @@ class PrimeField(Field):
         return tuple(self.check_element(int(x)) for x in values)
 
     def chunks_from_payload(self, data):
+        return tuple(self.payload_words(data).tolist())
+
+    def payload_words(self, data):
         """One numpy pass: each g-byte group becomes an 8-byte little-endian
         word whose top 8 - g bytes are zero."""
         g = self._payload_width()
@@ -318,7 +344,7 @@ class PrimeField(Field):
             raise ParameterError(f"payload length must be a multiple of {g}")
         words = np.zeros((len(data) // g, 8), dtype=np.uint8)
         words[:, :g] = np.frombuffer(data, dtype=np.uint8).reshape(-1, g)
-        return tuple(words.view("<u8").ravel().tolist())
+        return words.view(self.stored_dtype).ravel()
 
     def chunks_to_payload(self, v):
         """The inverse of chunks_from_payload, in one numpy pass."""
@@ -338,19 +364,19 @@ class PrimeField(Field):
         flat = list(itertools.chain.from_iterable(vecs))
         return struct.pack(f"<{len(flat)}Q", *flat)
 
-    def vectors_from_bytes(self, data, offset, count, c, picks=None):
-        words = np.frombuffer(data, dtype="<u8", count=count * c, offset=offset)
-        if picks is not None:
-            words = words.reshape(count, c)[picks].ravel()
-        self._check_words(words)
-        return zip(*[iter(words.tolist())] * c)  # tuples of c ints
+    def vectors_to_words(self, vecs, c):
+        flat = itertools.chain.from_iterable(vecs)
+        return np.fromiter(flat, dtype=self.stored_dtype, count=len(vecs) * c).reshape(-1, c)
 
-    def check_stored(self, data, offset, count):
-        self._check_words(np.frombuffer(data, dtype="<u8", count=count, offset=offset))
+    def vectors_from_words(self, words):
+        return list(map(tuple, words.tolist()))  # tuples of c ints
 
-    def _check_words(self, words):
+    def check_words(self, words):
         if words.size and words.max() >= self.modulus:
             raise FieldMismatchError(f"stored element {words.max()} outside {self.token}")
+
+    def add_words(self, a, b):
+        return (a + b) % self.modulus  # both below p < 2^62: no uint64 overflow
 
 
 class BinaryField(Field):
@@ -376,7 +402,7 @@ class BinaryField(Field):
         self.element_size = w // 8
         self.payload_size = w // 8
         self.dtype = _DTYPE[w]
-        self._stored_dtype = np.dtype(self.dtype).newbyteorder("<")
+        self.stored_dtype = np.dtype(self.dtype).newbyteorder("<")
         self._build_tables()
 
     def _build_tables(self):
@@ -438,10 +464,17 @@ class BinaryField(Field):
     def vec_scale(self, s, v):
         return self._exp[self._log[v] + self._log[s]]
 
+    def vec_scale_many(self, scalars, v):
+        logs = self._log[np.asarray(scalars, dtype=np.int64)]
+        return self._exp[self._log[v] + logs[:, None]]
+
     def vec_combine(self, coeffs, vecs):
         if not len(vecs):
             raise ParameterError("vec_combine needs at least one vector")
-        mat = vecs if isinstance(vecs, np.ndarray) else np.stack(vecs)
+        try:
+            mat = vecs if isinstance(vecs, np.ndarray) else np.stack(vecs)
+        except ValueError:
+            raise ParameterError("vectors must have the same length") from None
         if len(coeffs) != mat.shape[0]:
             raise ParameterError("one coefficient per vector required")
         logs = self._log[np.asarray(coeffs, dtype=np.int64)]
@@ -477,30 +510,38 @@ class BinaryField(Field):
         return arr
 
     def chunks_from_payload(self, data):
+        return self.payload_words(data).astype(self.dtype)
+
+    def payload_words(self, data):
         if len(data) % self.payload_size:
             raise ParameterError(
                 f"payload length must be a multiple of {self.payload_size}"
             )
-        return np.frombuffer(data, dtype=self._stored_dtype).astype(self.dtype)
+        return np.frombuffer(data, dtype=self.stored_dtype)
 
     def chunks_to_payload(self, v):
-        return np.asarray(v, dtype=self._stored_dtype).tobytes()
+        return np.asarray(v, dtype=self.stored_dtype).tobytes()
 
     def vectors_to_bytes(self, vecs):
         vecs = list(vecs)
         if not vecs:
             return b""
-        return np.concatenate(vecs).astype(self._stored_dtype, copy=False).tobytes()
+        return np.concatenate(vecs).astype(self.stored_dtype, copy=False).tobytes()
 
-    def vectors_from_bytes(self, data, offset, count, c, picks=None):
-        words = np.frombuffer(data, dtype=self._stored_dtype, count=count * c, offset=offset)
-        words = words.reshape(count, c)
-        if picks is not None:
-            words = words[picks]
-        return iter(words.astype(self.dtype))  # rows of a writeable copy
+    def vectors_to_words(self, vecs, c):
+        words = np.empty((len(vecs), c), dtype=self.stored_dtype)
+        if len(vecs):
+            np.stack(vecs, out=words, casting="unsafe")
+        return words
 
-    def check_stored(self, data, offset, count):
+    def vectors_from_words(self, words):
+        return list(words.astype(self.dtype))  # rows of a writeable copy
+
+    def check_words(self, words):
         pass  # every w-bit word is an element
+
+    def add_words(self, a, b):
+        return np.bitwise_xor(a, b)
 
 
 _FIELDS: dict[str, Field] = {}

@@ -295,8 +295,8 @@ class AppendCost:
 
 
 class _CountingField:
-    """A field that counts the elements its vec_scale and vec_combine
-    multiply, and delegates everything else."""
+    """A field that counts the elements its vec_scale, vec_scale_many and
+    vec_combine multiply, and delegates everything else."""
 
     def __init__(self, fld):
         self._fld = fld
@@ -308,6 +308,10 @@ class _CountingField:
     def vec_scale(self, s, v):
         self.mults += len(v)
         return self._fld.vec_scale(s, v)
+
+    def vec_scale_many(self, scalars, v):
+        self.mults += len(scalars) * len(v)
+        return self._fld.vec_scale_many(scalars, v)
 
     def vec_combine(self, coeffs, vecs):
         self.mults += len(coeffs) * len(vecs[0])

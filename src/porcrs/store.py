@@ -8,15 +8,18 @@ Share files are little-endian binary:
 
 This module owns the header: ``share_bytes`` packs it with ``_PREFIX`` and
 ``_SHAPE``, and ``read_share`` alone parses it and checks the file length
-against r cells before it decodes any of the body.  ``Field`` owns the
+against r cells before it reads any of the body.  ``Field`` owns the
 element encoding of the body (8-byte words in Z_p, w/8-byte words in
-GF(2^w)), which is encoded as one array of 2rc elements.  Tags sit next to
+GF(2^w)) and the check that a stored word is an element.  Tags sit next to
 their blocks, so cell i is the 2c elements at header + (i - 1) * 2c
-elements.  ``read_share`` decodes the whole body for a repair, just the
-challenged cells for an audit, and for an append only the cells it reads
-or changes -- the newest data row and the stilde parity rows -- after one
-pass that checks every word is an element; ``share_bytes`` then writes the
-rows before them back as the bytes they were stored as.
+elements.  In memory a server's column (``server.Column``) has this same
+layout, an (r, 2, c) array of stored words, so reading a share wraps the
+body's words in a column and writing one is the header and then the
+column's words.  ``read_share`` reads the whole body for a repair, just
+the challenged rows for an audit, and for an append the whole body, which
+one pass checks, with only the rows the append reads or changes readable:
+the newest data row and the stilde parity rows.  The rows before them are
+written back as the words they were stored as.
 
 Every file porcrs writes goes through ``replace_files``: it writes it to
 ``staged_path(path)`` and renames the staged files over their paths only
@@ -36,19 +39,17 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import mmap
 import operator
 import os
 import struct
-from collections.abc import Sequence
 
 import numpy as np
 
 from .client import FileMetadata, SchemeParams, chunks_per_block
 from .errors import CapacityError, FieldMismatchError, FormatError, MetaFormatError, ParameterError
 from .field import field_from_token
-from .server import ServerState
+from .server import Column, ServerState
 from .textfile import read_entries
 
 MAGIC = b"CRS1"
@@ -95,26 +96,20 @@ def replace_files(stages) -> None:
 def share_bytes(state: ServerState) -> bytes:
     """Serialize a share whose every cell is present and of its shape.
 
-    The rows that ``TailCells`` keep as stored bytes are written verbatim.
+    The body is the column's words verbatim, the rows an append read kept
+    as stored included.
     """
-    fld = state.field
-    token = fld.token.encode("ascii")
-    cells, stored, first = state.cells, b"", 0
-    if isinstance(cells, PartialCells):
-        raise ParameterError("share was read at some rows only; cannot serialize")
-    if isinstance(cells, TailCells):
-        cells, stored, first = cells.tail, cells.stored, cells.head
-    if None in cells:
-        raise ParameterError(f"cell {first + cells.index(None) + 1} is absent; cannot serialize")
-    body = fld.vectors_to_bytes(itertools.chain.from_iterable(cells))
-    if len(stored) + len(body) != 2 * state.r * state.chunks * fld.element_size:
+    fld, cells = state.field, state.cells
+    if len(cells) != state.r or cells.chunks != state.chunks or cells.field != fld:
         raise ParameterError("cells do not match the share's r and chunk count")
+    body = cells.body()
+    token = fld.token.encode("ascii")
     header = (
         _PREFIX.pack(MAGIC, VERSION, state.fid, len(token))
         + token
         + _SHAPE.pack(state.j, state.r, state.ktilde, state.stilde, state.ctr, state.chunks)
     )
-    return b"".join([header, stored, body])
+    return b"".join([header, body])
 
 
 def write_share(state: ServerState, path) -> None:
@@ -122,11 +117,12 @@ def write_share(state: ServerState, path) -> None:
     replace_files({path: functools.partial(share_bytes, state)})
 
 
-def _read_header(fh) -> tuple[ServerState, int]:
+def _read_header(fh) -> tuple[tuple, int]:
     """Parse and check the header at the start of fh, then check the file's
     length against r cells, before any body byte is read.
 
-    Returns the share's state, with no cells yet, and the body's offset.
+    Returns the share's (j, fid, field, ktilde, stilde, ctr, chunks), the
+    fields of its state before its cells, and the body's offset.
     """
     raw = fh.read(_PREFIX.size)
     if len(raw) < _PREFIX.size:
@@ -159,113 +155,56 @@ def _read_header(fh) -> tuple[ServerState, int]:
         raise FormatError(f"share file truncated in cell {body_len // cell_bytes + 1}")
     if body_len > r * cell_bytes:
         raise FormatError(f"{body_len - r * cell_bytes} trailing bytes after body")
-    return ServerState(j, fid, fld, ktilde, stilde, ctr, chunks), offset
-
-
-class PartialCells(Sequence):
-    """The cells of a share read at some rows only: index i - 1 holds row i.
-
-    An unread row raises LookupError, so it can never pass for a wiped
-    cell, and ``write_share`` refuses a state that holds these cells.
-    """
-
-    def __init__(self, r: int, read: dict):
-        self._r = r
-        self._read = read  # row index (0-based) -> (block, tag)
-
-    def __len__(self) -> int:
-        return self._r
-
-    def __getitem__(self, index):
-        if not 0 <= index < self._r:
-            raise IndexError(f"row {index + 1} out of range 1..{self._r}")
-        try:
-            return self._read[index]
-        except KeyError:
-            raise LookupError(f"row {index + 1} was not read from the share file") from None
-
-
-class TailCells(Sequence):
-    """The cells of a share read for an append: index i - 1 holds row i.
-
-    Rows 1..head stay the bytes they were stored as, and raise LookupError;
-    only the rows after them are decoded.  Those can be set, and a row can
-    be inserted among them, as ``apply_append`` does; ``share_bytes`` writes
-    the stored rows back verbatim, then the decoded ones.
-    """
-
-    def __init__(self, head: int, stored, tail: list):
-        self.head = head
-        self.stored = stored  # the bytes of rows 1..head
-        self.tail = tail  # rows head + 1.., decoded
-
-    def __len__(self) -> int:
-        return self.head + len(self.tail)
-
-    def __getitem__(self, index):
-        return self.tail[self._tail_index(index, len(self) - 1)]
-
-    def __setitem__(self, index, cell):
-        self.tail[self._tail_index(index, len(self) - 1)] = cell
-
-    def insert(self, index, cell):
-        self.tail.insert(self._tail_index(index, len(self)), cell)
-
-    def _tail_index(self, index: int, last: int) -> int:
-        if not 0 <= index <= last:
-            raise IndexError(f"row {index + 1} out of range 1..{last + 1}")
-        if index < self.head:
-            raise LookupError(f"row {index + 1} was kept as stored bytes, not decoded")
-        return index - self.head
+    return (j, fid, fld, ktilde, stilde, ctr, chunks), offset
 
 
 def read_share(path, rows=None, *, for_append=False) -> ServerState:
     """Read and check the share file at ``path``.
 
-    With ``rows`` (1-based, repeats allowed) only the header and those rows'
-    cells are read, through a memory map, with one gather and one element
-    check; the state's cells are then ``PartialCells``.  With ``for_append``
-    (and no rows) the whole file is read and every word checked in one pass
-    that decodes none; then only the newest data row and the parity rows
-    are decoded, and the state's cells are ``TailCells``.  Header and length
-    faults raise the same FormatError in every case, and so does a word
-    outside the field in a cell that is read; one in an unread cell goes
-    unseen.
+    The state's cells are a ``Column`` over the body's words, in the file's
+    own layout.  With ``rows`` (1-based, repeats allowed) only the header
+    and those rows' words are read, through a memory map, with one gather
+    and one element check; every other row of the column raises
+    LookupError, and ``write_share`` refuses the state.  With
+    ``for_append`` (and no rows) the whole body is read and every word
+    checked in one pass, and the column has room for one more row; only
+    the newest data row and the parity rows can be read or changed, and
+    the rows before them are written back as the words they were stored
+    as.  Header and length faults raise the same FormatError in every
+    case, and so does a word outside the field in a row that is read; one
+    in an unread row goes unseen.
     """
     with open(path, "rb") as fh:
-        state, offset = _read_header(fh)
-        fld, r = state.field, state.r
-        if for_append:
-            body = fh.read()
-            head = state.ktilde - 1
-            cut = head * 2 * state.chunks * fld.element_size
-            try:
-                fld.check_stored(body, 0, 2 * r * state.chunks)
-            except FieldMismatchError as exc:
-                raise FormatError(str(exc)) from None
-            halves = _decode(fld, body, cut, r - head, state.chunks)
-            state.cells = TailCells(head, memoryview(body)[:cut], list(zip(halves, halves)))
-            return state
+        header, offset = _read_header(fh)
+        _, _, fld, ktilde, stilde, _, c = header
+        r = ktilde + stilde
         if rows is None:
-            halves = _decode(fld, fh.read(), 0, r, state.chunks)
-            state.cells = list(zip(halves, halves))  # consecutive halves are (block, tag)
-            return state
-        rows = list(rows)
-        for i in rows:
-            if not 1 <= i <= r:
-                raise ParameterError(f"row {i} out of range 1..{r}")
-        # Row i is halves 2i - 2 (its block) and 2i - 1 (its tag).
-        picks = np.repeat(2 * np.array(rows, dtype=np.intp) - 2, 2)
-        picks[1::2] += 1
+            words = np.empty((r + for_append, 2, c), fld.stored_dtype)  # room for its row
+            body = words[:r]
+            if fh.readinto(memoryview(body).cast("B")) != body.nbytes:
+                raise FormatError("share file changed while it was read")
+            _check(fld, body)
+            # An append reads or changes only the newest data row and the parity rows.
+            read = slice(ktilde - 1, r) if for_append else None
+            return ServerState(*header, Column(fld, c, words, r, read=read, kept=True))
+        picks = np.array(list(rows), dtype=np.intp)
+        bad = picks[(picks < 1) | (picks > r)]
+        if bad.size:
+            raise ParameterError(f"row {bad[0]} out of range 1..{r}")
+        picks -= 1
         with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as body:
-            halves = _decode(fld, body, offset, r, state.chunks, picks)
-    state.cells = PartialCells(r, {i - 1: cell for i, cell in zip(rows, zip(halves, halves))})
-    return state
+            stored = np.frombuffer(body, fld.stored_dtype, 2 * r * c, offset)
+            picked = stored.reshape(r, 2, c)[picks]
+            del stored  # the map closes only once no array views it
+    _check(fld, picked)
+    words = np.zeros((r, 2, c), fld.stored_dtype)
+    words[picks] = picked
+    return ServerState(*header, Column(fld, c, words, read=picks))
 
 
-def _decode(fld, body, offset: int, r: int, chunks: int, picks=None):
+def _check(fld, words) -> None:
     try:
-        return fld.vectors_from_bytes(body, offset, 2 * r, chunks, picks)
+        fld.check_words(words)
     except FieldMismatchError as exc:
         raise FormatError(str(exc)) from None
 

@@ -627,22 +627,35 @@ def test_status_names_mismatched_share_fields(workspace, capsys):
     assert f"server 2: ok (r={new.r}, ctr=2)" in out
 
 
+def record_reads(monkeypatch) -> list:
+    """Patch store.read_share to note, for each share it reads, the 1-based
+    rows whose cells can be read from the column it returns."""
+    noted = []
+    read = store.read_share
+
+    def recording(*args, **kwargs):
+        state = read(*args, **kwargs)
+        readable = []
+        for i in range(1, len(state.cells) + 1):
+            try:
+                state.cells[i - 1]
+            except LookupError:
+                continue
+            readable.append(i)
+        noted.append(readable)
+        return state
+
+    monkeypatch.setattr(store, "read_share", recording)
+    return noted
+
+
 @pytest.mark.parametrize("field", [PRIME, BINARY], ids=FIELD_IDS.get)
 def test_status_reads_headers_only(workspace, capsys, monkeypatch, field):
     # status checks header, shape and file length, and decodes no cell.
     tmp_path, root = workspace
     keygen_and_outsource(tmp_path, root, field=field)
     meta = store.read_meta("file.meta")
-    decoded = []
-    cls = type(meta.field)
-    read = cls.vectors_from_bytes
-
-    def counting(self, *args, **kwargs):
-        for vec in read(self, *args, **kwargs):
-            decoded.append(1)
-            yield vec
-
-    monkeypatch.setattr(cls, "vectors_from_bytes", counting)
+    decoded = record_reads(monkeypatch)
     status = ["status", "--root", str(root), "--meta", "file.meta"]
     victim = store.share_path(root, 2, meta.fid)
     raw = open(victim, "rb").read()
@@ -656,7 +669,7 @@ def test_status_reads_headers_only(workspace, capsys, monkeypatch, field):
         assert message in out
         for j in (1, 3, 4, 5):
             assert f"server {j}: ok (r={meta.r}, ctr=1)" in out
-    assert decoded == []
+    assert decoded == [[]] * 8  # four good shares per run, no row of them read
 
 
 @pytest.mark.parametrize("rows", [30, 3000])
@@ -668,19 +681,9 @@ def test_append_decodes_the_same_cells_at_any_height(workspace, monkeypatch, row
     meta = store.read_meta("file.meta")
     assert meta.ktilde == rows
     (row,) = write_rows(tmp_path, b"A")
-    decoded = []
-    cls = type(meta.field)
-    read = cls.vectors_from_bytes
-
-    def counting(self, *args, **kwargs):
-        decoded.append(0)
-        for vec in read(self, *args, **kwargs):
-            decoded[-1] += 1
-            yield vec
-
-    monkeypatch.setattr(cls, "vectors_from_bytes", counting)
+    decoded = record_reads(monkeypatch)
     assert append_file(root, row) == 0
-    assert decoded == [2 * (1 + meta.stilde)] * meta.n
+    assert decoded == [list(range(meta.ktilde, meta.r + 1))] * meta.n
 
 
 def test_audit_sees_a_bad_word_only_in_a_challenged_cell(workspace, capsys):

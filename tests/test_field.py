@@ -240,6 +240,10 @@ def test_vector_shape_mismatch_is_parameter_error(fld):
         fld.vec_combine([], [])
     with pytest.raises(ParameterError):
         fld.vec_combine([1, 1], [u])
+    # Ragged input is refused, not truncated to the first vector's length.
+    for ragged in ([v, u], [u, v]):
+        with pytest.raises(ParameterError, match="same length"):
+            fld.vec_combine([1, 1], ragged)
 
 
 def test_vec_combine_accepts_stacked_matrix():
@@ -249,6 +253,25 @@ def test_vec_combine_accepts_stacked_matrix():
     a = GF16.vec_combine(coeffs, vecs)
     b = GF16.vec_combine(coeffs, np.stack(vecs))
     assert GF16.vec_eq(a, b)
+
+
+@pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
+def test_stored_word_ops_match_vector_ops(fld):
+    # A server computes on arrays of stored words; each op must give what
+    # the vector ops give, element for element.
+    rng = random.Random(13)
+    c = 5
+    vecs = [fld.vec_from_ints([fld.rand_element(rng) for _ in range(c)]) for _ in range(7)]
+    vecs[0] = fld.vec_from_ints([fld.order - 1] * c)  # the largest sums and products
+    words = fld.vectors_to_words(vecs, c)
+    coeffs = [fld.order - 1] + [fld.rand_element(rng) for _ in range(6)]
+    assert fld.vec_eq(fld.vec_combine(coeffs, words), fld.vec_combine(coeffs, vecs))
+    total = fld.vectors_from_words(fld.add_words(words[:3], words[3:6]))
+    assert all(fld.vec_eq(t, fld.vec_add(u, v)) for t, u, v in zip(total, vecs[:3], vecs[3:6]))
+    scalars = [1, fld.order - 1, fld.rand_element(rng)]
+    many = fld.vec_scale_many(scalars, vecs[1])
+    assert len(many) == 3
+    assert all(fld.vec_eq(m, fld.vec_scale(s, vecs[1])) for m, s in zip(many, scalars))
 
 
 def test_payload_round_trip():
@@ -294,7 +317,11 @@ def test_stored_vectors_round_trip(fld):
         # Each element little-endian in element_size bytes, in order.
         assert data == b"".join(int(x).to_bytes(fld.element_size, "little")
                                 for v in vecs for x in v)
-        got = list(fld.vectors_from_bytes(b"pad" + data, 3, count, c))
+        words = fld.vectors_to_words(vecs, c)
+        assert words.shape == (count, c) and words.dtype == fld.stored_dtype
+        assert words.tobytes() == data
+        stored = np.frombuffer(b"pad" + data, fld.stored_dtype, count * c, 3)
+        got = fld.vectors_from_words(stored.reshape(count, c))
         assert len(got) == count
         assert all(fld.vec_eq(a, b) for a, b in zip(got, vecs))
         if fld is not M61:
@@ -304,5 +331,6 @@ def test_stored_vectors_round_trip(fld):
 
 def test_stored_prime_word_out_of_range():
     data = M61.vectors_to_bytes([(1, 2)]) + M61.order.to_bytes(8, "little")
+    M61.check_words(np.frombuffer(data[:16], M61.stored_dtype))
     with pytest.raises(FieldMismatchError, match="outside"):
-        M61.vectors_from_bytes(data, 0, 3, 1)
+        M61.check_words(np.frombuffer(data, M61.stored_dtype).reshape(3, 1))

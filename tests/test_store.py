@@ -205,7 +205,10 @@ def test_append_read_writes_back_what_a_whole_read_does(fld, tmp_path):
         server.apply_append(whole, order)
         server.apply_append(tail, order)
         assert store.share_bytes(tail) == store.share_bytes(whole)
-    assert len(tail.cells.stored) == 8 * 2 * whole.chunks * fld.element_size  # rows 1..8
+    for i in range(1, 9):  # rows 1..8 are still the words they were stored as
+        with pytest.raises(LookupError, match=f"row {i} was kept as stored bytes"):
+            tail.cells[i - 1]
+    assert fld.vec_eq(tail.cells[8][0], whole.cells[8][0])  # row 9 was read
 
 
 def test_partial_share_never_answers_for_an_unread_row(tmp_path):
