@@ -32,10 +32,15 @@ wrappers over it, and the client calls it once per server for outsource,
 append and audit.  An append asks for 1 + 2 stilde cells per server (the
 new data cell and each parity slot at its old and new context), but an
 in-memory append after the first asks for 1 + stilde: it reuses the
-masks the previous append left on the metadata.  A ``porcrs append``
-process reads fresh metadata and asks for 1 + 2 stilde.  The mask cache
-keeps data cells only (counter 0, a context that never changes), whoever
-calls it.
+masks the previous append left on the metadata.  An audit takes the
+masks of the newest data row and of the parity rows from that carry too,
+so right after an in-memory append it asks the kernel only for data rows
+the mask cache lacks.  A ``porcrs append`` or ``porcrs audit`` process
+reads fresh metadata, has no carry, and computes every mask it needs.
+The mask cache keeps data cells only (counter 0, a context that never
+changes), whoever calls it; a carried mask of a data row joins it as a
+computed one would.  Every mask an append carries or the cache holds is
+read-only in GF(2^w), since several holders share it.
 
 alpha is never 0: with alpha = 0 a tag is its mask alone, and any block
 would verify.
@@ -178,23 +183,42 @@ _PRF_CACHE: dict = {}
 _PRF_CACHE_MAX = 16384
 
 
-def prf_masks_cached(kprf: bytes, fid: bytes, server: int, cells, count: int, fld: Field):
-    """prf_masks, with counter-0 cells looked up in and stored to the cache;
-    every other cell and every miss take one kernel call."""
+def read_only(masks) -> tuple:
+    """The masks as a tuple, each GF(2^w) array made read-only, so that
+    holders who share them cannot change one another's copy."""
+    for vec in masks:
+        if isinstance(vec, np.ndarray):
+            vec.flags.writeable = False
+    return tuple(masks)
+
+
+def prf_masks_cached(
+    kprf: bytes, fid: bytes, server: int, cells, count: int, fld: Field, held=None
+):
+    """prf_masks, with counter-0 cells looked up in and stored to the cache.
+
+    held maps the index of a cell in cells to the mask the caller already
+    holds for it; that mask stands in for a kernel call and is stored like
+    a computed one.  Every other cell and every miss take one kernel call,
+    whose masks are returned read-only (GF(2^w)), since the cache may share
+    them.
+    """
     keys = [(kprf, fid, row, server, count, fld.token) if ctr == 0 else None for row, ctr in cells]
     out = [key and _PRF_CACHE.get(key) for key in keys]
+    taken = [(t, vec) for t, vec in held.items() if out[t] is None] if held else []
+    for t, vec in taken:
+        out[t] = vec
     missing = [t for t, vec in enumerate(out) if vec is None]
+    fresh = ()
     if missing:
-        fresh = prf_masks(kprf, fid, server, [cells[t] for t in missing], count, fld)
-        for t, vec in zip(missing, fresh):
-            out[t] = vec
-            if keys[t] is None:
-                continue
-            if len(_PRF_CACHE) >= _PRF_CACHE_MAX:
-                _PRF_CACHE.clear()
-            if isinstance(vec, np.ndarray):
-                vec.flags.writeable = False
-            _PRF_CACHE[keys[t]] = vec
+        fresh = read_only(prf_masks(kprf, fid, server, [cells[t] for t in missing], count, fld))
+    for t, vec in chain(taken, zip(missing, fresh)):
+        out[t] = vec
+        if keys[t] is None:
+            continue
+        if len(_PRF_CACHE) >= _PRF_CACHE_MAX:
+            _PRF_CACHE.clear()
+        _PRF_CACHE[keys[t]] = vec
     return out
 
 

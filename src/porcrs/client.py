@@ -13,15 +13,20 @@ them at counter 0, and ships each server its new cell plus one tag delta
 per parity slot; servers update their own parity blocks, so nothing is
 downloaded.  A delta needs each parity slot's PRF mask at its old and at
 its new (row, counter).  The old contexts are the new ones of the append
-before, so the metadata object carries each server's new parity masks to
-the next append, never persisted: an in-memory append after the first
-asks the PRF for 1 + stilde cells per server, while one on freshly read
-metadata (each ``porcrs append`` process) asks for 1 + 2 stilde.  The
-carry reissues no tag context; it only skips recomputing masks.  Audits
-challenge l random rows with random coefficients and check the servers'
-aggregates against locally recomputed PRF masks; parity rows are checked
+before, so the metadata object carries each server's masks of the new
+data cell and of its new parity contexts (rows ktilde..r), never
+persisted: an in-memory append after the first asks the PRF for
+1 + stilde cells per server, while one on freshly read metadata (each
+``porcrs append`` process) asks for 1 + 2 stilde.  Audits challenge l
+random rows with random coefficients and check the servers' aggregates
+against the PRF masks of the challenged cells; parity rows are checked
 at the current append counter, which is what makes stale (pre-append)
-parity detectable.  When a server fails too often, the client
+parity detectable.  An audit takes the masks of rows ktilde..r from the
+carry and asks the PRF mask cache for the others, so an audit right
+after an in-memory append computes no mask of the newest row or of any
+parity row; a ``porcrs audit`` process reads fresh metadata and has no
+carry.  The carry reissues no tag context and changes no verdict; it only
+skips recomputing masks.  When a server fails too often, the client
 pulls every share, turns tag mismatches into erasures, and runs row-wise
 and column-wise erasure decoding to a fixpoint before re-encoding and
 re-sharing.
@@ -91,8 +96,10 @@ class FileMetadata:
     eps_p: float
     window: int
     audit_history: dict = dc_field(default_factory=dict)
-    # (key, masks) left by the last append: masks[j - 1] holds server j's
-    # parity masks at the current (row, counter), key what they depend on.
+    # (key, masks) left by the last append: masks[j - 1][t] is server j's
+    # mask of row ktilde + t at its current counter, for rows ktilde..r (the
+    # newest data row, then the parity rows), as read-only arrays in
+    # GF(2^w); key is what they depend on.  append and verify read it.
     parity_masks: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     @property
@@ -313,8 +320,18 @@ def row_blocks_from_payload(meta: FileMetadata, data: bytes):
 
 
 def _mask_key(sk: SecretKey, meta: FileMetadata, ktilde: int, ctr: int) -> tuple:
-    """What each server's parity masks at (ktilde + slot, ctr) depend on."""
+    """What each server's masks of rows ktilde..ktilde + stilde depend on:
+    row ktilde at counter 0, the parity rows after it at ctr."""
     return (sk.kprf, meta.fid, meta.n, ktilde, ctr, meta.stilde, meta.chunks, meta.field.token)
+
+
+def _carried_masks(sk: SecretKey, meta: FileMetadata) -> tuple | None:
+    """Per server, the masks of rows ktilde..r that the last append left on
+    this metadata, or None when there are none under this key."""
+    carry = meta.parity_masks
+    if carry is None or carry[0] != _mask_key(sk, meta, meta.ktilde, meta.ctr):
+        return None
+    return carry[1]
 
 
 def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
@@ -349,11 +366,10 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
 
     # The carry is taken off the metadata first, so that a failure below
     # leaves none behind.
-    carry, meta.parity_masks = meta.parity_masks, None
-    held = None
-    if carry is not None and carry[0] == _mask_key(sk, meta, ktilde_old, ctr_old):
-        held = list(carry[1])
-    del carry
+    held = _carried_masks(sk, meta)
+    meta.parity_masks = None
+    if held is not None:
+        held = list(held)  # each server's entry is dropped once used
 
     # Per server, one PRF batch: the new cell, then each parity slot at its
     # old (unless held) and at its new (row, counter).
@@ -369,11 +385,12 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
         if held is None:
             old, new = parity[: meta.stilde], parity[meta.stilde :]
         else:
-            old, new, held[j - 1] = held[j - 1], parity, None
+            # Server j's held masks: row ktilde_old, then the parity slots.
+            old, new, held[j - 1] = held[j - 1][1:], parity, None
         new_tag = auth.tags_from_masks(sk.alpha, [cell_mask], [blk], fld)[0]
         deltas = auth.tag_deltas(sk.alpha, old, new, col_ext.parity_delta(blk), fld)
         orders.append(AppendOrder(meta.fid, j, ctr_new, blk, new_tag, tuple(deltas)))
-        carried.append(new)
+        carried.append(auth.read_only([cell_mask, *new]))
     meta.ktilde, meta.ctr, meta.parity_masks = (
         ktilde_new, ctr_new, (_mask_key(sk, meta, ktilde_new, ctr_new), tuple(carried))
     )
@@ -400,6 +417,10 @@ def verify(sk: SecretKey, meta: FileMetadata, q: ChallengeSet, proof) -> list[bo
     For each responding server the aggregate tag must equal the challenge
     combination of that server's PRF masks (data rows at counter 0, parity
     rows at the current counter) plus alpha times the aggregate block.
+    The masks of rows ktilde..r that the last append left on this metadata
+    under this key go to auth.prf_masks_cached as held masks, so that only
+    the other rows can reach the PRF kernel, and the newest data row's mask
+    joins the cache as a computed one would.
     """
     fld = meta.field
     c = meta.chunks
@@ -410,6 +431,11 @@ def verify(sk: SecretKey, meta: FileMetadata, q: ChallengeSet, proof) -> list[bo
             raise ParameterError(f"challenged row {i} out of range")
     coeffs = [nu for _, nu in q.entries]
     cells = [(i, cell_ctr(meta.ktilde, meta.ctr, i)) for i, _ in q.entries]
+    carried = _carried_masks(sk, meta)
+    # (challenge entry, carry slot) of each challenged row the carry holds.
+    lifted = [] if carried is None else [
+        (t, i - meta.ktilde) for t, (i, _) in enumerate(q.entries) if i >= meta.ktilde
+    ]
     verdicts = []
     for j in range(1, meta.n + 1):
         try:
@@ -421,7 +447,8 @@ def verify(sk: SecretKey, meta: FileMetadata, q: ChallengeSet, proof) -> list[bo
         ok = pair is not None
         if ok:
             mu, sigma = pair
-            masks = auth.prf_masks_cached(sk.kprf, meta.fid, j, cells, c, fld)
+            held = {t: carried[j - 1][slot] for t, slot in lifted}
+            masks = auth.prf_masks_cached(sk.kprf, meta.fid, j, cells, c, fld, held)
             expected = fld.vec_add(
                 fld.vec_combine(coeffs, fld.vec_stack(masks)),
                 fld.vec_scale(sk.alpha, mu),

@@ -494,6 +494,29 @@ def test_prf_masks_cached_matches_kernel(fld):
             assert not got.flags.writeable
 
 
+@pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
+def test_prf_masks_cached_takes_held_masks(fld, monkeypatch):
+    # A held mask stands in for the kernel, and a counter-0 one is stored
+    # as a computed one would be.
+    auth.clear_prf_cache()
+    cells = [(3, 0), (9, 2), (4, 1), (5, 0)]
+    fresh = auth.prf_masks(KEY, FID, 2, cells, 4, fld)
+    held = {0: fresh[0], 1: fresh[1]}
+    asked = []
+    kernel = auth.prf_masks
+    monkeypatch.setattr(
+        auth, "prf_masks", lambda *args: asked.append(list(args[3])) or kernel(*args)
+    )
+    got = auth.prf_masks_cached(KEY, FID, 2, cells, 4, fld, held)
+    assert asked == [cells[2:]]
+    assert got[0] is fresh[0] and got[1] is fresh[1]
+    assert all(fld.vec_eq(a, b) for a, b in zip(got, fresh))
+    assert sorted(key[2] for key in auth._PRF_CACHE) == [3, 5]
+    asked.clear()
+    assert auth.prf_masks_cached(KEY, FID, 2, [cells[0]], 4, fld)[0] is fresh[0]
+    assert asked == []
+
+
 @pytest.mark.parametrize(
     "fid, server, cells",
     [

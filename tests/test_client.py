@@ -317,6 +317,9 @@ def test_verify_caches_only_data_cell_masks(token, monkeypatch):
     for state, order in zip(servers, orders):
         server.apply_append(state, order)
     assert meta.ctr >= 1
+    # Without the masks the append carries, as in a porcrs audit process:
+    # every parity cell goes to the kernel.
+    meta.parity_masks = None
     servers[2].cells[meta.ktilde :] = stale  # keeps its pre-append parity
     computed = []
     kernel = auth.prf_masks
@@ -777,3 +780,106 @@ def test_carry_is_invisible_outside_append(tmp_path):
     assert store.meta_bytes(meta) == store.meta_bytes(bare)
     assert meta == bare and repr(meta) == repr(bare)
     assert "parity_masks" not in repr(meta)
+
+
+def appended_servers(fld, rng, appends=3):
+    """A small file after in-memory appends, with its servers, the key and
+    each server's parity cells from before the last append."""
+    sk, params = setup(fld, 6, 4, 3, block_size=8, rng=rng)
+    meta, shares = outsource(sk, params, rng.randbytes(50), rng=rng)
+    servers = client.make_server_states(meta, shares)
+    for _ in range(appends):
+        stale = [list(state.cells[meta.ktilde :]) for state in servers]
+        orders = client.append(sk, meta, next_row(meta, rng))
+        for state, order in zip(servers, orders):
+            server.apply_append(state, order)
+    return sk, meta, servers, stale
+
+
+@pytest.mark.parametrize("token", sorted(FIELDS))
+def test_verify_with_the_carry_gives_the_same_verdicts(token, monkeypatch):
+    # Rows ktilde..r come from the masks the last append carried; every
+    # verdict must be that of a verify that recomputes them.
+    fld = FIELDS[token]
+    rng = random.Random(43)
+    sk, meta, servers, stale = appended_servers(fld, rng)
+    assert meta.parity_masks is not None
+    servers[1].cells[meta.ktilde :] = stale[1]  # parity rolled back one append
+    block, tag = servers[2].cells[meta.ktilde - 1]  # the newest row, tampered
+    one = fld.vec_from_ints([1] * len(block))
+    servers[2].cells[meta.ktilde - 1] = (fld.vec_add(block, one), tag)
+    newest, parity = [meta.ktilde], list(range(meta.ktilde + 1, meta.r + 1))
+    older = list(range(1, meta.ktilde))
+    row_sets = [newest + parity, parity, newest, rng.sample(older, 3) + newest + parity]
+    row_sets += [rng.sample(older, 2) + rng.sample(newest + parity, 2) for _ in range(4)]
+    row_sets += [[i for i, _ in challenge(meta, l, rng).entries] for l in (1, 4, meta.r)]
+    for rows in row_sets:
+        rng.shuffle(rows)
+        q = client.ChallengeSet(0, tuple((i, fld.rand_nonzero(rng)) for i in rows))
+        proof = [server.prove(state, q) for state in servers]
+        proof[3] = proof[3][:1]  # misshapen
+        proof[4] = None  # missing
+        verdicts = verify(sk, meta, q, proof)
+        assert verdicts == verify(sk, dataclasses.replace(meta, parity_masks=None), q, proof)
+        touches = set(rows).__contains__
+        rolled_back = any(map(touches, parity))
+        assert verdicts == [True, not rolled_back, not touches(meta.ktilde), False, False, True]
+
+    # Carried rows with cached data rows: the kernel is not asked at all,
+    # and the newest row's masks join the cache like computed ones.
+    auth.clear_prf_cache()
+    data = rng.sample(older, 3)
+    q = client.ChallengeSet(0, tuple((i, fld.rand_nonzero(rng)) for i in data))
+    verify(sk, meta, q, [server.prove(state, q) for state in servers])
+    asked = spy_on_prf_masks(monkeypatch)
+    rows = data + newest + parity
+    q = client.ChallengeSet(0, tuple((i, fld.rand_nonzero(rng)) for i in rows))
+    proof = [server.prove(state, q) for state in servers]
+    assert verify(sk, meta, q, proof) == [True, False, False, True, True, True]
+    assert asked == []
+    newest = {(sk.kprf, meta.fid, meta.ktilde, j, meta.chunks, fld.token) for j in range(1, 7)}
+    assert newest <= auth._PRF_CACHE.keys()
+
+
+def proof_for(sk, meta, q, rng):
+    """A response that passes exactly when the masks are those of meta's
+    current contexts under sk, computed here by the kernel."""
+    fld, c = meta.field, meta.chunks
+    cells = [(i, client.cell_ctr(meta.ktilde, meta.ctr, i)) for i, _ in q.entries]
+    coeffs = [nu for _, nu in q.entries]
+    proof = []
+    for j in range(1, meta.n + 1):
+        mu = fld.vec_from_ints([fld.rand_element(rng) for _ in range(c)])
+        masks = auth.prf_masks(sk.kprf, meta.fid, j, cells, c, fld)
+        sigma = fld.vec_add(fld.vec_combine(coeffs, masks), fld.vec_scale(sk.alpha, mu))
+        proof.append((mu, sigma))
+    return proof
+
+
+def test_verify_ignores_a_carry_under_another_key(tmp_path, monkeypatch):
+    rng, meta, cases = fallback_cases(tmp_path)
+    for name, case, key in cases:
+        rows = list(range(case.ktilde, case.r + 1)) + rng.sample(range(1, case.ktilde), 2)
+        q = client.ChallengeSet(0, tuple((i, M61.rand_nonzero(rng)) for i in rows))
+        proof = proof_for(key, case, q, rng)
+        proof[0] = (proof[0][0], M61.vec_add(proof[0][1], (1,)))
+        verdicts = []
+        for twin in (dataclasses.replace(case), dataclasses.replace(case, parity_masks=None)):
+            auth.clear_prf_cache()
+            asked = spy_on_prf_masks(monkeypatch)
+            verdicts.append(verify(key, twin, q, proof))
+            monkeypatch.undo()
+            assert asked == [len(rows)] * case.n, name
+        assert verdicts[0] == verdicts[1] == [False] + [True] * (case.n - 1), name
+
+
+@pytest.mark.parametrize("token", ["gf2:8", "gf2:16"])
+def test_carried_masks_are_read_only(token):
+    # append and verify share the carried arrays, and so may the PRF cache.
+    rng = random.Random(44)
+    _, meta, _, _ = appended_servers(FIELDS[token], rng, appends=2)
+    _, carried = meta.parity_masks
+    assert len(carried) == meta.n and {len(masks) for masks in carried} == {1 + meta.stilde}
+    for vec in (vec for masks in carried for vec in masks):
+        with pytest.raises(ValueError):
+            vec[0] ^= 1
