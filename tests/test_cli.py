@@ -819,7 +819,7 @@ def test_bench_writes_table(workspace, capsys):
     assert len(append_rows) == 1
     size, l, _, secs = append_rows[0]
     assert (size, l) == ("4096", "0") and float(secs) > 0
-    # One audit after the appends, at the first query size.
+    # The median of the audits after the appends, at the first query size.
     audit_rows = [row.split("\t") for row in rows if "\taudit\t" in row]
     assert len(audit_rows) == 1
     size, l, _, secs = audit_rows[0]
@@ -828,7 +828,8 @@ def test_bench_writes_table(workspace, capsys):
     assert "append bytes" in out
     assert "us per cell of 32 chunks" in out
     assert "|F|=4096: append " in out
-    assert "|F|=4096 |Q|=2: audit after the appends " in out and "FAIL" not in out
+    assert "|F|=4096 |Q|=2: audit after the appends " in out
+    assert "(uniform rows, median of 5), pass" in out and "FAIL" not in out
 
 
 def test_outsource_refuses_an_existing_meta_before_encoding(workspace, monkeypatch, capsys):
