@@ -242,6 +242,15 @@ def cmd_status(args) -> int:
         f"r={meta.r} ctr={meta.ctr} chunks={meta.chunks}"
     )
     print(f"original_length={meta.original_length}")
+    fraction = meta.stilde / meta.r
+    line = f"parity: stilde/r = {meta.stilde}/{meta.r} = {fraction:.4f}, eps_p = {meta.eps_p}"
+    if fraction < meta.eps_p:
+        grown = client.target_stilde(meta)
+        line += (
+            f"; below eps_p, the next repair grows stilde to {grown}" if grown > meta.stilde
+            else f"; below eps_p, the next repair keeps stilde = {meta.stilde}"
+        )
+    print(line)
     want = {"fid": (meta.fid,), "r": (meta.r,), "ctr": (meta.ctr,)}
     for j in range(1, meta.n + 1):
         try:
@@ -345,6 +354,23 @@ def cmd_bench(args) -> int:
     prf_cell_s = statistics.median(per_cell)
     print(f"prf_masks: {prf_cell_s * 1e6:.1f} us per cell of {chunks} chunks")
     rows.append((0, 0, "prf_cell", prf_cell_s))
+    # The field layer alone: one server's proof, a vec_combine over |Q| rows
+    # of block and tag words as prove passes them.
+    for l in queries:
+        words = fld.payload_words(rng.randbytes(l * 2 * chunks * fld.payload_size))
+        words = words.reshape(l, 2 * chunks)
+        coeffs = [fld.rand_element(rng) for _ in range(l)]
+        combine_s = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            fld.vec_combine(coeffs, words)
+            combine_s.append(time.perf_counter() - t0)
+        combine_s = statistics.median(combine_s)
+        print(
+            f"vec_combine: {combine_s * 1e6:.1f} us over |Q|={l} rows of"
+            f" {2 * chunks} words (median of 5)"
+        )
+        rows.append((0, l, "combine", combine_s))
     cost = harness.account_append_cost(
         harness.HarnessConfig(
             field_token=fld.token,

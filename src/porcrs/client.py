@@ -467,8 +467,9 @@ def needs_redistribute(meta: FileMetadata, j: int) -> bool:
     return hist.count(False) / len(hist) > meta.eps_q
 
 
-def _target_stilde(meta: FileMetadata) -> int:
-    """Parity rows for the re-encoded file, honouring the eps_p floor."""
+def target_stilde(meta: FileMetadata) -> int:
+    """Parity rows for the re-encoded file, honouring the eps_p floor: what
+    the next redistribute gives the file."""
     if meta.stilde0 == 0 and meta.stilde == 0:
         return 0  # deployment opted out of the column code
     if meta.stilde and meta.stilde / meta.r >= meta.eps_p:
@@ -550,7 +551,7 @@ def redistribute(sk: SecretKey, meta: FileMetadata, dumps) -> RedistributeResult
     flat = fld.vec_concat([v for row in data_rows for v in row])
     data = fld.chunks_to_payload(flat)[: meta.original_length]
 
-    stilde_new = _target_stilde(meta)
+    stilde_new = target_stilde(meta)
     ctr_new = meta.ctr + 1
     words = fld.vectors_to_words([v for row in data_rows for v in row], meta.chunks)
     del data_rows

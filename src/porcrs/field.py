@@ -388,6 +388,13 @@ class BinaryField(Field):
     two logs needs no modulo, and is zero from index 2(order - 1) onward.
     log(0) is the sentinel 2(order - 1): any sum with it lands in the zero
     tail, so a zero factor needs no test.
+
+    The vector ops look words up with ``np.take`` gathers over the flat
+    tables: under numpy 2.4 that is about twice as fast as fancy indexing
+    with a 2-D index array, and gives the same words.  They keep take's
+    default ``mode="raise"`` on purpose: a word outside the field (held in
+    a wider integer dtype) raises IndexError, where "clip" or "wrap" would
+    quietly turn it into some element.
     """
 
     kind = "binary"
@@ -443,6 +450,7 @@ class BinaryField(Field):
         return int(self._inv[a])
 
     def inv_many(self, values):
+        # A 1-D index: fancy indexing here measured faster than np.take.
         idx = np.asarray(values, dtype=np.int64)
         if not idx.all():
             raise ZeroDivisionError(f"no inverse of 0 in {self.token}")
@@ -462,11 +470,11 @@ class BinaryField(Field):
     vec_sub = vec_add
 
     def vec_scale(self, s, v):
-        return self._exp[self._log[v] + self._log[s]]
+        return np.take(self._exp, np.take(self._log, v) + self._log[s])
 
     def vec_scale_many(self, scalars, v):
-        logs = self._log[np.asarray(scalars, dtype=np.int64)]
-        return self._exp[self._log[v] + logs[:, None]]
+        idx = np.take(self._log, scalars)[:, None] + np.take(self._log, v)
+        return np.take(self._exp, idx)
 
     def vec_combine(self, coeffs, vecs):
         if not len(vecs):
@@ -477,9 +485,9 @@ class BinaryField(Field):
             raise ParameterError("vectors must have the same length") from None
         if len(coeffs) != mat.shape[0]:
             raise ParameterError("one coefficient per vector required")
-        logs = self._log[np.asarray(coeffs, dtype=np.int64)]
-        prods = self._exp[self._log[mat] + logs[:, None]]
-        return np.bitwise_xor.reduce(prods, axis=0)
+        idx = np.take(self._log, mat)
+        idx += np.take(self._log, coeffs)[:, None]  # in place: no second index array
+        return np.bitwise_xor.reduce(np.take(self._exp, idx), axis=0)
 
     def vec_stack(self, vecs):
         return np.stack(list(vecs))

@@ -627,6 +627,32 @@ def test_status_names_mismatched_share_fields(workspace, capsys):
     assert f"server 2: ok (r={new.r}, ctr=2)" in out
 
 
+def test_status_reports_parity_fraction_against_eps_p(workspace, capsys):
+    tmp_path, root = workspace
+    status = ["status", "--root", str(root), "--meta", "file.meta"]
+    keygen_and_outsource(tmp_path, root)  # 29 data rows, 2 parity rows
+    assert main(status) == 0
+    out = capsys.readouterr().out
+    assert "parity: stilde/r = 2/31 = 0.0645, eps_p = 0.05\n" in out
+    assert "below eps_p" not in out
+
+    # 60 data rows: 2 / 62 is under the default eps_p = 0.05.
+    (tmp_path / "client.key").unlink()
+    Path("file.meta").unlink()
+    shutil.rmtree(root)
+    keygen_and_outsource(tmp_path, root, data=b"E" * (60 * 3 * 7))  # 7 bytes a zp block
+    assert main(status) == 0
+    out = capsys.readouterr().out
+    grown = "below eps_p, the next repair grows stilde to 7"
+    assert f"parity: stilde/r = 2/62 = 0.0323, eps_p = 0.05; {grown}\n" in out
+    repair = ["repair", "--root", str(root), "--meta", "file.meta", "--key", "client.key"]
+    assert main([*repair, "--out", "back.bin"]) == 0
+    assert store.read_meta("file.meta").stilde == 7
+    assert main(status) == 0
+    out = capsys.readouterr().out
+    assert "parity: stilde/r = 7/67 = 0.1045, eps_p = 0.05\n" in out
+
+
 def record_reads(monkeypatch) -> list:
     """Patch store.read_share to note, for each share it reads, the 1-based
     rows whose cells can be read from the column it returns."""
@@ -824,12 +850,17 @@ def test_bench_writes_table(workspace, capsys):
     assert len(audit_rows) == 1
     size, l, _, secs = audit_rows[0]
     assert (size, l) == ("4096", "2") and float(secs) > 0
+    # The field layer alone: one vec_combine per query size, file-independent.
+    combine_rows = [row.split("\t") for row in rows if "\tcombine\t" in row]
+    assert [(size, l) for size, l, _, _ in combine_rows] == [("0", "2"), ("0", "4")]
+    assert all(float(secs) > 0 for *_, secs in combine_rows)
     out = capsys.readouterr().out
     assert "append bytes" in out
     assert "us per cell of 32 chunks" in out
     assert "|F|=4096: append " in out
     assert "|F|=4096 |Q|=2: audit after the appends " in out
     assert "(uniform rows, median of 5), pass" in out and "FAIL" not in out
+    assert "us over |Q|=4 rows of 64 words (median of 5)" in out
 
 
 def test_outsource_refuses_an_existing_meta_before_encoding(workspace, monkeypatch, capsys):

@@ -110,6 +110,65 @@ def test_every_multiply_path_matches_shift_and_xor(fld):
     assert fld.vec_to_ints(fld.vec_combine(values, np.stack(rows))) == expect
 
 
+def _kernel_operands(fld):
+    """Scalars and entries with zeros among both, and the largest element."""
+    rng = random.Random(fld.width)
+    scalars = [0, 1, fld.order - 1, 0, *(rng.randrange(fld.order) for _ in range(5))]
+    entries = [0, fld.order - 1, 1, *(rng.randrange(fld.order) for _ in range(9)), 0]
+    return scalars, entries
+
+
+@pytest.mark.parametrize("fld", [GF8, GF16], ids=lambda f: f.token)
+def test_vec_scale_many_matches_shift_and_xor(fld):
+    scalars, entries = _kernel_operands(fld)
+    expect = [[clmul_reduce(s, x, fld.poly, fld.width) for x in entries] for s in scalars]
+    vec = fld.vec_from_ints(entries)
+    words = np.array(entries, dtype=fld.stored_dtype)  # <u1 or <u2, as stored
+    for v in (vec, words):
+        many = fld.vec_scale_many(scalars, v)
+        assert many.shape == (len(scalars), len(entries)) and many.dtype == fld.dtype
+        assert [fld.vec_to_ints(row) for row in many] == expect
+
+
+@pytest.mark.parametrize("fld", [GF8, GF16], ids=lambda f: f.token)
+def test_vec_combine_on_stored_words_matches_shift_and_xor(fld):
+    # server.prove hands vec_combine one 2-D array of stored words.
+    scalars, entries = _kernel_operands(fld)
+    rows = [entries[t:] + entries[:t] for t in range(len(scalars))]
+    words = np.array(rows, dtype=fld.stored_dtype)
+    expect = [0] * len(entries)
+    for s, row in zip(scalars, rows):
+        for u, x in enumerate(row):
+            expect[u] ^= clmul_reduce(s, x, fld.poly, fld.width)
+    got = fld.vec_combine(scalars, words)
+    assert got.dtype == fld.dtype and fld.vec_to_ints(got) == expect
+    assert fld.vec_to_ints(fld.vec_combine(scalars, words[:, 3:9])) == expect[3:9]
+
+
+@pytest.mark.parametrize("fld", [GF8, GF16], ids=lambda f: f.token)
+def test_word_outside_the_field_raises_and_is_never_reduced(fld):
+    # The lookups keep np.take's mode="raise": a word >= order, held in a
+    # wider integer dtype, raises rather than wrap or clip to an element.
+    for bad in (fld.order, fld.order + 1, 2 * fld.order - 1):
+        v = np.array([1, 0, bad, fld.order - 1], dtype=np.int64)
+        with pytest.raises(IndexError):
+            fld.vec_scale(3, v)
+        with pytest.raises(IndexError):
+            fld.vec_scale_many([0, 3], v)
+        with pytest.raises(IndexError):
+            fld.vec_combine([1, 3], np.stack([v, v[::-1]]))
+        with pytest.raises(IndexError):
+            fld.vec_combine([3], [v.astype(np.uint32)])
+    # The scalar side is checked too.
+    v = fld.vec_from_ints([1, 2])
+    with pytest.raises(IndexError):
+        fld.vec_scale(fld.order, v)
+    with pytest.raises(IndexError):
+        fld.vec_scale_many([1, fld.order], v)
+    with pytest.raises(IndexError):
+        fld.vec_combine([fld.order], [v])
+
+
 def test_gf16_inverse_property():
     rng = random.Random(4)
     for _ in range(1000):
