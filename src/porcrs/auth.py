@@ -29,7 +29,14 @@ GF(2^w) each cell's chunks go through three C-level passes, 256 chunks
 at a time: copy the cell state, update each copy, join the digests.
 prf, prf_vector, tag_block, tag_delta and verify_block are one-cell
 wrappers over it, and the client calls it once per server for outsource,
-append and audit.  An append asks for 1 + 2 stilde cells per server (the
+append and audit.  Outsource, repair's re-tagging and append share their
+servers between forked processes (``fanout.map_servers``) when the call
+is large enough and the process may use more than one CPU; each server's
+call runs whole in one process, so its masks are the ones above.  The
+children inherit the key as any fork does, and only stored words and
+masks come back through an anonymous pipe.  Audits and repair's cell
+checks stay in this process, since their stores into the mask cache
+would be lost in a child.  An append asks for 1 + 2 stilde cells per server (the
 new data cell and each parity slot at its old and new context), but an
 in-memory append after the first asks for 1 + stilde: it reuses the
 masks the previous append left on the metadata.  An audit takes the
@@ -267,12 +274,23 @@ def verify_block(sk: SecretKey, block, tag, ctx: TagContext, fld: Field) -> bool
 
 
 def tag_deltas(alpha: int, old_masks, new_masks, delta_blocks, fld: Field) -> list:
-    """(new mask - old mask) + alpha * delta block for each parity slot."""
-    try:
-        moved = [fld.vec_sub(new, old) for old, new in zip(old_masks, new_masks, strict=True)]
-    except ValueError:
-        raise ParameterError("old and new masks must cover the same cells") from None
-    return tags_from_masks(alpha, moved, delta_blocks, fld)
+    """(new mask - old mask) + alpha * delta block for each parity slot.
+
+    In Z_p one flat pass covers every chunk of every slot, as in
+    tags_from_masks.
+    """
+    lengths = list(map(len, new_masks))
+    if list(map(len, old_masks)) != lengths:
+        raise ParameterError("old and new masks must cover the same cells")
+    if isinstance(fld, BinaryField):
+        moved = [fld.vec_sub(new, old) for old, new in zip(old_masks, new_masks)]
+        return tags_from_masks(alpha, moved, delta_blocks, fld)
+    if list(map(len, delta_blocks)) != lengths:
+        raise ParameterError("each cell's mask and block must have the same chunk count")
+    p = fld.order
+    flat = zip(*map(chain.from_iterable, (new_masks, old_masks, delta_blocks)))
+    deltas = ((x - y + alpha * d) % p for x, y, d in flat)
+    return [tuple(islice(deltas, c)) for c in lengths]
 
 
 def tag_delta(

@@ -21,7 +21,7 @@ import statistics
 import sys
 import time
 
-from . import client, harness, store
+from . import client, fanout, harness, store
 from .auth import read_keyfile, write_keyfile, keygen, clear_prf_cache, prf_masks
 from .server import apply_append, prove
 from .errors import (
@@ -276,7 +276,7 @@ def cmd_bench(args) -> int:
     fld = field_from_token(args.field)
     sizes = [int(s) for s in args.sizes.split(",") if s]
     queries = [int(s) for s in args.query_sizes.split(",") if s]
-    rows = []
+    rows, counts = [], []
     rng = random.Random(args.seed if args.seed is not None else 0)
     sk = keygen(fld, rng)
     params = client.SchemeParams(
@@ -292,6 +292,17 @@ def cmd_bench(args) -> int:
         mib_s = size / 2**20 / outsource_s
         print(f"|F|={size}: outsource {outsource_s:.3f}s ({mib_s:.2f} MiB/s), r={meta.r}")
         rows.append((size, 0, "outsource", outsource_s))
+        # Processes sharing the PRF work: outsource tags r cells per server,
+        # an in-memory append after the first asks for 1 + stilde.
+        split = {
+            "outsource": fanout.processes(meta.n, meta.n * meta.r * meta.chunks),
+            "append": fanout.processes(meta.n, meta.n * (1 + meta.stilde) * meta.chunks),
+        }
+        print(
+            f"|F|={size}: PRF work on {split['outsource']} process(es) for outsource,"
+            f" {split['append']} for append"
+        )
+        counts += [(size, f"{op}_processes", count) for op, count in split.items()]
         for l in queries:
             if l > meta.r:
                 print(f"|F|={size} |Q|={l}: skipped (r={meta.r} too small)")
@@ -389,6 +400,7 @@ def cmd_bench(args) -> int:
     table = "".join([
         "file_bytes\tquery_size\tphase\tseconds\n",
         *(f"{size}\t{l}\t{phase}\t{secs:.6f}\n" for size, l, phase, secs in rows),
+        *(f"{size}\t0\t{phase}\t{count}\n" for size, phase, count in counts),
         f"0\t0\tappend_bytes\t{cost.bytes_small}\n",
         f"0\t0\tappend_bytes_2k\t{cost.bytes_large}\n",
     ])

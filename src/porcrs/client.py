@@ -26,7 +26,13 @@ carry and asks the PRF mask cache for the others, so an audit right
 after an in-memory append computes no mask of the newest row or of any
 parity row; a ``porcrs audit`` process reads fresh metadata and has no
 carry.  The carry reissues no tag context and changes no verdict; it only
-skips recomputing masks.  When a server fails too often, the client
+skips recomputing masks.  Each server's PRF work is independent of the
+others', so outsource, redistribute's re-tagging and append share the
+servers between forked processes when the call has enough PRF chunks and
+the process may use more than one CPU (``fanout.map_servers``): each
+child sends back one server at a time, as stored words (a column's tags,
+or an append's carried masks, new tag and tag deltas), and the bytes are
+those of a run in one process.  When a server fails too often, the client
 pulls every share, turns tag mismatches into erasures, and runs row-wise
 and column-wise erasure decoding to a fixpoint before re-encoding and
 re-sharing.
@@ -37,9 +43,10 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field as dc_field, replace
 
-from . import auth, crs
+from . import auth, crs, fanout
 from .auth import SecretKey, TagContext
 from .errors import CapacityError, ParameterError
 from .field import Field
@@ -246,14 +253,19 @@ def _product_encode(fld: Field, data, n: int, k: int, stilde: int) -> list[Colum
 
 
 def _tag_columns(sk: SecretKey, fld: Field, fid: bytes, columns, ktilde: int, parity_ctr: int):
-    """Tag every cell of the columns, in place, one PRF batch per server."""
-    r, c = len(columns[0]), columns[0].chunks
+    """Tag every cell of the columns, in place, one PRF batch per server,
+    the servers shared between processes (fanout.map_servers)."""
+    n, r, c = len(columns), len(columns[0]), columns[0].chunks
     cells = [(i, cell_ctr(ktilde, parity_ctr, i)) for i in range(1, r + 1)]
-    for j0, column in enumerate(columns):
-        words = column.words[:r]
-        masks = auth.prf_masks(sk.kprf, fid, j0 + 1, cells, c, fld)
-        tags = auth.tags_from_masks(sk.alpha, masks, words[:, 0], fld)
-        words[:, 1] = fld.vectors_to_words(tags, c)
+
+    def tag_words(j: int):
+        masks = auth.prf_masks(sk.kprf, fid, j, cells, c, fld)
+        tags = auth.tags_from_masks(sk.alpha, masks, columns[j - 1].words[:r, 0], fld)
+        return fld.vectors_to_words(tags, c)
+
+    with closing(fanout.map_servers(tag_words, n, n * r * c)) as results:
+        for column, tags in zip(columns, results):
+            column.words[:r, 1] = tags
     return columns
 
 
@@ -378,19 +390,34 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
     if held is None:
         cells += [(ktilde_old + slot, ctr_old) for slot in slots]
     cells += [(ktilde_new + slot, ctr_new) for slot in slots]
-    orders, carried = [], []
-    for j in range(1, meta.n + 1):
+
+    def order_words(j: int):
+        """Server j's masks of rows ktilde_new..r, new tag and tag deltas,
+        as one array of stored words."""
         blk = encoded[j - 1]
         cell_mask, *parity = auth.prf_masks(sk.kprf, meta.fid, j, cells, meta.chunks, fld)
         if held is None:
             old, new = parity[: meta.stilde], parity[meta.stilde :]
         else:
             # Server j's held masks: row ktilde_old, then the parity slots.
-            old, new, held[j - 1] = held[j - 1][1:], parity, None
+            old, new = held[j - 1][1:], parity
         new_tag = auth.tags_from_masks(sk.alpha, [cell_mask], [blk], fld)[0]
         deltas = auth.tag_deltas(sk.alpha, old, new, col_ext.parity_delta(blk), fld)
-        orders.append(AppendOrder(meta.fid, j, ctr_new, blk, new_tag, tuple(deltas)))
-        carried.append(auth.read_only([cell_mask, *new]))
+        return fld.vectors_to_words([cell_mask, *new, new_tag, *deltas], meta.chunks)
+
+    orders, carried = [], []
+    chunks = meta.n * len(cells) * meta.chunks
+    with closing(fanout.map_servers(order_words, meta.n, chunks)) as results:
+        for j, words in enumerate(results, 1):
+            if held is not None:
+                held[j - 1] = None
+            # The new data cell's mask gets an array of its own, since the
+            # PRF cache may keep it after the carry is gone.
+            cell_mask, = fld.vectors_from_words(words[:1])
+            new = fld.vectors_from_words(words[1 : 1 + meta.stilde])
+            new_tag, *deltas = fld.vectors_from_words(words[1 + meta.stilde :])
+            orders.append(AppendOrder(meta.fid, j, ctr_new, encoded[j - 1], new_tag, tuple(deltas)))
+            carried.append(auth.read_only([cell_mask, *new]))
     meta.ktilde, meta.ctr, meta.parity_masks = (
         ktilde_new, ctr_new, (_mask_key(sk, meta, ktilde_new, ctr_new), tuple(carried))
     )

@@ -854,7 +854,12 @@ def test_bench_writes_table(workspace, capsys):
     combine_rows = [row.split("\t") for row in rows if "\tcombine\t" in row]
     assert [(size, l) for size, l, _, _ in combine_rows] == [("0", "2"), ("0", "4")]
     assert all(float(secs) > 0 for *_, secs in combine_rows)
+    # Processes sharing the PRF work: this toy file stays below the fork
+    # threshold, so one each.
+    split = {row[2]: row[3] for row in map(str.split, rows) if row[2].endswith("_processes")}
+    assert split == {"outsource_processes": "1", "append_processes": "1"}
     out = capsys.readouterr().out
+    assert "|F|=4096: PRF work on 1 process(es) for outsource, 1 for append" in out
     assert "append bytes" in out
     assert "us per cell of 32 chunks" in out
     assert "|F|=4096: append " in out
