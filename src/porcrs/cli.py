@@ -132,14 +132,16 @@ def _stage(order, path):
     """Read and check one server's share and apply its order; returns the
     new share's bytes, or None when the share already took the order.
 
-    Every word of the share is checked, but only the cells the order reads
-    or changes are decoded: the newest data row and the parity rows.  The
-    rows before them are written back as they were stored, so the decoding
-    costs the same at any file height; copying those bytes does not.
+    The share is read whole, with room for the new row, and every word is
+    checked in one pass.  The parity rows take their deltas as stored
+    words, the rows before them are written back as they were stored, and
+    no cell is decoded but the newest data row, only when the share's
+    counter says it may already hold the order.  So the decoding costs the
+    same at any file height; reading and copying the share does not.
     """
     j = order.server
     try:
-        state = store.read_share(path, for_append=True)
+        state = store.read_share(path)
     except FormatError as exc:
         raise FormatError(f"server {j}: {exc}") from None
     # The order targets the file's counter + 1, which an interrupted append

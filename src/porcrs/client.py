@@ -203,12 +203,6 @@ def cell_context(fid: bytes, ktilde: int, ctr: int, i: int, j: int) -> TagContex
     return TagContext(fid, i, j, cell_ctr(ktilde, ctr, i))
 
 
-def _payload_blocks(fld: Field, data: bytes, chunks: int) -> list:
-    """Payload bytes parsed in one pass, cut into blocks of chunks elements."""
-    flat = fld.chunks_from_payload(data)
-    return [flat[t : t + chunks] for t in range(0, len(flat), chunks)]
-
-
 def _data_words(fld: Field, data: bytes, k: int, chunks: int):
     """Pad to a whole number of k-block rows; the blocks' stored words as a
     (rows, k, chunks) array."""
@@ -328,7 +322,7 @@ def row_blocks_from_payload(meta: FileMetadata, data: bytes):
         raise ParameterError(
             f"append row must be exactly {payload * meta.k} bytes, got {len(data)}"
         )
-    return _payload_blocks(fld, data, meta.chunks)
+    return fld.vectors_from_words(fld.payload_words(data).reshape(-1, meta.chunks))
 
 
 def _mask_key(sk: SecretKey, meta: FileMetadata, ktilde: int, ctr: int) -> tuple:
@@ -575,13 +569,12 @@ def redistribute(sk: SecretKey, meta: FileMetadata, dumps) -> RedistributeResult
     if data_rows is None:
         return None
 
-    flat = fld.vec_concat([v for row in data_rows for v in row])
-    data = fld.chunks_to_payload(flat)[: meta.original_length]
+    words = fld.vectors_to_words([v for row in data_rows for v in row], meta.chunks)
+    del data_rows
+    data = fld.chunks_to_payload(words)[: meta.original_length]
 
     stilde_new = target_stilde(meta)
     ctr_new = meta.ctr + 1
-    words = fld.vectors_to_words([v for row in data_rows for v in row], meta.chunks)
-    del data_rows
     words = words.reshape(-1, meta.k, meta.chunks)
     columns = _product_encode(fld, words, meta.n, meta.k, stilde_new)
     shares = _tag_columns(sk, fld, meta.fid, columns, meta.ktilde, parity_ctr=ctr_new)

@@ -12,17 +12,20 @@ Two field kinds are supported, selected by a compact token:
 Scalars are plain Python ints in canonical reduced form.  Bulk data (block
 and tag chunk vectors) moves through the ``vec_*`` methods: tuples of ints
 for prime fields, numpy arrays for binary fields.  Treat returned vectors
-as immutable.  Both binary widths multiply through one pair of log/antilog
-tables, zero included (see :class:`BinaryField`); tables are built once
-per process and never mutated, so field objects are safe to share across
-threads.
+as immutable.  Bytes become vectors, and vectors bytes, only by way of
+arrays of stored words, each element little-endian in ``element_size``
+bytes: ``payload_words`` and ``chunks_to_payload`` convert file payloads,
+``vectors_from_words`` and ``vectors_to_words`` convert vectors, and a
+share body is such an array.  Both binary widths multiply through one
+pair of log/antilog tables, zero included (see :class:`BinaryField`);
+tables are built once per process and never mutated, so field objects are
+safe to share across threads.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import struct
 
 import numpy as np
 
@@ -125,9 +128,6 @@ class Field:
 
     # -- chunk-vector ops --
 
-    def vec_zeros(self, c: int):
-        raise NotImplementedError
-
     def vec_add(self, u, v):
         raise NotImplementedError
 
@@ -150,10 +150,6 @@ class Field:
         """Pack vectors for repeated vec_combine calls over the same rows."""
         return list(vecs)
 
-    def vec_concat(self, vecs):
-        """One vector holding the elements of vecs in order."""
-        raise NotImplementedError
-
     def vec_eq(self, u, v) -> bool:
         raise NotImplementedError
 
@@ -172,20 +168,14 @@ class Field:
     def vec_to_ints(self, v) -> list[int]:
         return [int(x) for x in v]
 
-    def chunks_from_payload(self, data: bytes):
-        """Decode file-payload bytes (len a multiple of payload_size)."""
-        raise NotImplementedError
-
     def payload_words(self, data: bytes):
-        """The elements of file-payload bytes, as a 1-D array of stored
-        words: what chunks_from_payload gives, undecoded."""
+        """The elements of file-payload bytes (len a multiple of
+        payload_size), as a 1-D array of stored words."""
         raise NotImplementedError
 
-    def chunks_to_payload(self, v) -> bytes:
-        raise NotImplementedError
-
-    def vectors_to_bytes(self, vecs) -> bytes:
-        """Stored form of vectors: each element little-endian in element_size bytes."""
+    def chunks_to_payload(self, words) -> bytes:
+        """The inverse of payload_words: the payload bytes of an array of
+        stored words (or of a vector), in order."""
         raise NotImplementedError
 
     def vectors_to_words(self, vecs, c: int):
@@ -272,9 +262,6 @@ class PrimeField(Field):
             if a < self.modulus:
                 return a
 
-    def vec_zeros(self, c):
-        return (0,) * c
-
     def vec_add(self, u, v):
         p = self.modulus
         try:
@@ -313,9 +300,6 @@ class PrimeField(Field):
             out.append(acc % p)
         return tuple(out)
 
-    def vec_concat(self, vecs):
-        return tuple(itertools.chain.from_iterable(vecs))
-
     def vec_eq(self, u, v):
         return tuple(u) == tuple(v)
 
@@ -333,9 +317,6 @@ class PrimeField(Field):
     def vec_from_ints(self, values):
         return tuple(self.check_element(int(x)) for x in values)
 
-    def chunks_from_payload(self, data):
-        return tuple(self.payload_words(data).tolist())
-
     def payload_words(self, data):
         """One numpy pass: each g-byte group becomes an 8-byte little-endian
         word whose top 8 - g bytes are zero."""
@@ -346,23 +327,18 @@ class PrimeField(Field):
         words[:, :g] = np.frombuffer(data, dtype=np.uint8).reshape(-1, g)
         return words.view(self.stored_dtype).ravel()
 
-    def chunks_to_payload(self, v):
-        """The inverse of chunks_from_payload, in one numpy pass."""
+    def chunks_to_payload(self, words):
+        """One numpy pass: the low g bytes of each little-endian word."""
         g = self._payload_width()
-        v = list(v)
-        if v and not (min(v) >= 0 and max(v) < 1 << (8 * g)):
+        words = np.asarray(words)
+        if words.size and not (words.min() >= 0 and words.max() < 1 << (8 * g)):
             raise ParameterError("element does not fit the payload width")
-        words = np.array(v, dtype="<u8").view(np.uint8).reshape(-1, 8)
-        return words[:, :g].tobytes()
+        return words.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :g].tobytes()
 
     def _payload_width(self) -> int:
         if self.payload_size < 1:
             raise ParameterError(f"{self.token} is too small to carry byte payloads")
         return self.payload_size
-
-    def vectors_to_bytes(self, vecs):
-        flat = list(itertools.chain.from_iterable(vecs))
-        return struct.pack(f"<{len(flat)}Q", *flat)
 
     def vectors_to_words(self, vecs, c):
         flat = itertools.chain.from_iterable(vecs)
@@ -459,9 +435,6 @@ class BinaryField(Field):
     def rand_element(self, rng):
         return rng.getrandbits(self.width)
 
-    def vec_zeros(self, c):
-        return np.zeros(c, dtype=self.dtype)
-
     def vec_add(self, u, v):
         if len(u) != len(v):
             raise ParameterError("vector length mismatch")
@@ -492,9 +465,6 @@ class BinaryField(Field):
     def vec_stack(self, vecs):
         return np.stack(list(vecs))
 
-    def vec_concat(self, vecs):
-        return np.concatenate(list(vecs))
-
     def vec_eq(self, u, v):
         return len(u) == len(v) and bool(np.array_equal(u, v))
 
@@ -517,9 +487,6 @@ class BinaryField(Field):
         arr = np.array([self.check_element(int(x)) for x in values], dtype=self.dtype)
         return arr
 
-    def chunks_from_payload(self, data):
-        return self.payload_words(data).astype(self.dtype)
-
     def payload_words(self, data):
         if len(data) % self.payload_size:
             raise ParameterError(
@@ -527,14 +494,8 @@ class BinaryField(Field):
             )
         return np.frombuffer(data, dtype=self.stored_dtype)
 
-    def chunks_to_payload(self, v):
-        return np.asarray(v, dtype=self.stored_dtype).tobytes()
-
-    def vectors_to_bytes(self, vecs):
-        vecs = list(vecs)
-        if not vecs:
-            return b""
-        return np.concatenate(vecs).astype(self.stored_dtype, copy=False).tobytes()
+    def chunks_to_payload(self, words):
+        return np.asarray(words, dtype=self.stored_dtype).tobytes()
 
     def vectors_to_words(self, vecs, c):
         words = np.empty((len(vecs), c), dtype=self.stored_dtype)

@@ -28,7 +28,7 @@ from .field import Field
 
 
 # What each row of a column holds; rows from _MISSHAPEN on cannot be read.
-_WIPED, _CELL, _MISSHAPEN, _KEPT, _UNREAD = range(5)
+_WIPED, _CELL, _MISSHAPEN, _UNREAD = range(4)
 
 
 class Column(Sequence):
@@ -45,10 +45,9 @@ class Column(Sequence):
     * a misshapen cell, a pair that is not two vectors of ``chunks``
       elements, has no words: reading it, gathering or moving it with
       added words, and writing the share raise ParameterError;
-    * a row that a share file read left unread raises LookupError on any
-      access, so it can never pass for a wiped cell.  An append read
-      keeps such rows as the words they were stored as, and writes them
-      back; an audit read holds no words for them, and cannot be written.
+    * a row that an audit's share read left unread raises LookupError on
+      any access, so it can never pass for a wiped cell; the column holds
+      no words for it and cannot be written.
 
     ``share`` gives a second column over the same arrays; whichever of the
     two changes first while the other lives copies them, with room for
@@ -56,17 +55,17 @@ class Column(Sequence):
     """
 
     def __init__(self, field: Field, chunks: int, words, rows: int | None = None, *,
-                 read=None, kept: bool = False):
+                 read=None):
         """A column over words, its first rows (all by default) holding
         cells.  With read, an index of the rows read, every other row is
-        unread: kept as the words stored there, or not held at all."""
+        unread."""
         self.field = field
         self.chunks = chunks
         self.words = words
         self._len = len(words) if rows is None else rows
         self._state = np.full(len(words), _CELL, np.uint8)
         if read is not None:
-            self._state[:] = _KEPT if kept else _UNREAD
+            self._state[:] = _UNREAD
             self._state[read] = _CELL
         self._plain = read is None  # every row holds a cell or is wiped
         self._owners = [weakref.ref(self)]  # the columns over these arrays
@@ -226,13 +225,11 @@ class Column(Sequence):
         if self._plain:
             return
         state = self._state[rows]
-        bad = state >= (_KEPT if allow_misshapen else _MISSHAPEN)
+        bad = state >= (_UNREAD if allow_misshapen else _MISSHAPEN)
         if not bad.any():
             return
         t = int(np.flatnonzero(bad)[0])
         i = (np.arange(self._len)[rows] if isinstance(rows, slice) else np.asarray(rows))[t] + 1
-        if state[t] == _KEPT:
-            raise LookupError(f"row {i} was kept as stored bytes, not decoded")
         if state[t] == _UNREAD:
             raise LookupError(f"row {i} was not read from the share file")
         raise ParameterError(

@@ -15,11 +15,12 @@ their blocks, so cell i is the 2c elements at header + (i - 1) * 2c
 elements.  In memory a server's column (``server.Column``) has this same
 layout, an (r, 2, c) array of stored words, so reading a share wraps the
 body's words in a column and writing one is the header and then the
-column's words.  ``read_share`` reads the whole body for a repair, just
-the challenged rows for an audit, and for an append the whole body, which
-one pass checks, with only the rows the append reads or changes readable:
-the newest data row and the stilde parity rows.  The rows before them are
-written back as the words they were stored as.
+column's words.  ``read_share`` reads either the whole body, for an
+append or a repair, or just the challenged rows, for an audit.  A whole
+read checks every word in one pass and decodes no cell until one is
+read, and it leaves room for the row an append adds, so the append
+changes the array in place and writes the rows before it back as the
+words they were stored as.
 
 Every file porcrs writes goes through ``replace_files``: it writes it to
 ``staged_path(path)`` and renames the staged files over their paths only
@@ -96,8 +97,7 @@ def replace_files(stages) -> None:
 def share_bytes(state: ServerState) -> bytes:
     """Serialize a share whose every cell is present and of its shape.
 
-    The body is the column's words verbatim, the rows an append read kept
-    as stored included.
+    The body is the column's words verbatim.
     """
     fld, cells = state.field, state.cells
     if len(cells) != state.r or cells.chunks != state.chunks or cells.field != fld:
@@ -158,35 +158,31 @@ def _read_header(fh) -> tuple[tuple, int]:
     return (j, fid, fld, ktilde, stilde, ctr, chunks), offset
 
 
-def read_share(path, rows=None, *, for_append=False) -> ServerState:
+def read_share(path, rows=None) -> ServerState:
     """Read and check the share file at ``path``.
 
     The state's cells are a ``Column`` over the body's words, in the file's
-    own layout.  With ``rows`` (1-based, repeats allowed) only the header
-    and those rows' words are read, through a memory map, with one gather
-    and one element check; every other row of the column raises
-    LookupError, and ``write_share`` refuses the state.  With
-    ``for_append`` (and no rows) the whole body is read and every word
-    checked in one pass, and the column has room for one more row; only
-    the newest data row and the parity rows can be read or changed, and
-    the rows before them are written back as the words they were stored
-    as.  Header and length faults raise the same FormatError in every
-    case, and so does a word outside the field in a row that is read; one
-    in an unread row goes unseen.
+    own layout.  Without ``rows`` the whole body is read and every word
+    checked in one pass, into an array with room for one more row, so an
+    append copies none of it.  With ``rows`` (1-based, repeats allowed)
+    only the header and those rows' words are read, through a memory map,
+    with one gather and one element check; every other row of the column
+    raises LookupError, and ``write_share`` refuses the state.  Header and
+    length faults raise the same FormatError either way, and so does a
+    word outside the field in a row that is read; one in an unread row
+    goes unseen.
     """
     with open(path, "rb") as fh:
         header, offset = _read_header(fh)
         _, _, fld, ktilde, stilde, _, c = header
         r = ktilde + stilde
         if rows is None:
-            words = np.empty((r + for_append, 2, c), fld.stored_dtype)  # room for its row
+            words = np.empty((r + 1, 2, c), fld.stored_dtype)  # room for an appended row
             body = words[:r]
             if fh.readinto(memoryview(body).cast("B")) != body.nbytes:
                 raise FormatError("share file changed while it was read")
             _check(fld, body)
-            # An append reads or changes only the newest data row and the parity rows.
-            read = slice(ktilde - 1, r) if for_append else None
-            return ServerState(*header, Column(fld, c, words, r, read=read, kept=True))
+            return ServerState(*header, Column(fld, c, words, r))
         picks = np.array(list(rows), dtype=np.intp)
         bad = picks[(picks < 1) | (picks > r)]
         if bad.size:

@@ -84,7 +84,7 @@ def test_tag_block_toy_values(monkeypatch):
 def test_tag_of_zero_block_is_the_mask():
     sk = keygen(M61, random.Random(0))
     ctx = TagContext(FID, 2, 4, 1)
-    tag = tag_block(sk, M61.vec_zeros(3), ctx, M61)
+    tag = tag_block(sk, M61.vec_from_ints([0] * 3), ctx, M61)
     assert M61.vec_eq(tag, prf_vector(sk.kprf, ctx, 3, M61))
 
 
@@ -175,8 +175,8 @@ def test_tag_deltas_check_shapes(fld):
 def test_tag_delta_noop():
     sk = keygen(M61, random.Random(6))
     ctx = TagContext(FID, 4, 2, 7)
-    delta = tag_delta(sk, ctx, ctx, M61.vec_zeros(3), M61)
-    assert M61.vec_eq(delta, M61.vec_zeros(3))
+    delta = tag_delta(sk, ctx, ctx, M61.vec_from_ints([0] * 3), M61)
+    assert M61.vec_eq(delta, M61.vec_from_ints([0] * 3))
 
 
 @pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
@@ -219,7 +219,7 @@ def test_tag_delta_requires_same_file_and_server():
             sk,
             TagContext(FID, 1, 1, 0),
             TagContext(FID, 2, 2, 1),
-            M61.vec_zeros(1),
+            M61.vec_from_ints([0]),
             M61,
         )
 
@@ -368,7 +368,7 @@ def test_prf_masks_known_answer_full_width(fld, digest, tail):
     # A whole 2048-chunk cell, as a gf2:16 4 KiB block has, and the last
     # three chunks of it on their own: SHA-256 of the stored encoding.
     full = auth.prf_masks(KAT_KEY, KAT_FID, 5, FULL_CELLS, 2048, fld)
-    assert hashlib.sha256(fld.vectors_to_bytes(full)).hexdigest() == digest
+    assert hashlib.sha256(fld.vectors_to_words(full, 2048).tobytes()).hexdigest() == digest
     last = auth.prf_masks(KAT_KEY, KAT_FID, 5, FULL_CELLS, 3, fld, first=2045)
     assert [fld.vec_to_ints(v) for v in last] == tail
     assert [fld.vec_to_ints(v)[2045:] for v in full] == tail

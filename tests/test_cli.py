@@ -17,6 +17,7 @@ import pytest
 import porcrs
 from porcrs import client, harness, store
 from porcrs.cli import main
+from porcrs.server import Column
 
 
 @pytest.fixture()
@@ -675,6 +676,42 @@ def record_reads(monkeypatch) -> list:
     return noted
 
 
+def record_decodes(monkeypatch) -> list:
+    """Patch store.read_share and server.Column to note, for each share it
+    reads, the column it returns and the 1-based rows of it that are
+    decoded into cells or written by an insert with added words: the new
+    cell and the rows that move and take the words, numbered as after the
+    insert.  Each column is held, so no later one can take its place."""
+    noted = []
+    read, getitem, insert = store.read_share, Column.__getitem__, Column.insert
+
+    def rows_of(column):  # None for a column no share read returned
+        return next((rows for seen, rows in noted if seen is column), None)
+
+    def reading(*args, **kwargs):
+        state = read(*args, **kwargs)
+        noted.append((state.cells, []))
+        return state
+
+    def decoding(self, index):
+        rows = rows_of(self)
+        if rows is not None:
+            picked = range(1, len(self) + 1)[index]
+            rows += picked if isinstance(index, slice) else [picked]
+        return getitem(self, index)
+
+    def inserting(self, index, cell, added=None):
+        rows = rows_of(self)
+        if rows is not None and added is not None:
+            rows += range(index + 1, len(self) + 2)
+        return insert(self, index, cell, added)
+
+    monkeypatch.setattr(store, "read_share", reading)
+    monkeypatch.setattr(Column, "__getitem__", decoding)
+    monkeypatch.setattr(Column, "insert", inserting)
+    return noted
+
+
 @pytest.mark.parametrize("field", [PRIME, BINARY], ids=FIELD_IDS.get)
 def test_status_reads_headers_only(workspace, capsys, monkeypatch, field):
     # status checks header, shape and file length, and decodes no cell.
@@ -700,16 +737,18 @@ def test_status_reads_headers_only(workspace, capsys, monkeypatch, field):
 
 @pytest.mark.parametrize("rows", [30, 3000])
 def test_append_decodes_the_same_cells_at_any_height(workspace, monkeypatch, rows):
-    # Each share's newest data row and its stilde parity rows are decoded;
-    # every other word is range-checked and copied as it was stored.
+    # Each share's new data row is written and its stilde parity rows take
+    # their deltas as words, with no cell decoded; every other word is
+    # range-checked and copied as it was stored.
     tmp_path, root = workspace
     keygen_and_outsource(tmp_path, root, data=b"E" * (rows * 3 * 7))  # 7 bytes a zp block
     meta = store.read_meta("file.meta")
     assert meta.ktilde == rows
     (row,) = write_rows(tmp_path, b"A")
-    decoded = record_reads(monkeypatch)
+    decoded = record_decodes(monkeypatch)
     assert append_file(root, row) == 0
-    assert decoded == [list(range(meta.ktilde, meta.r + 1))] * meta.n
+    meta = store.read_meta("file.meta")
+    assert [rows for _, rows in decoded] == [list(range(meta.ktilde, meta.r + 1))] * meta.n
 
 
 def test_audit_sees_a_bad_word_only_in_a_challenged_cell(workspace, capsys):

@@ -110,10 +110,10 @@ def test_outsource_double_systematic():
     meta, shares = outsource(sk, params, data, rng=rng)
     for i0 in range(meta.ktilde):
         for j0 in range(meta.k):
-            expected = M61.chunks_from_payload(
+            expected = M61.payload_words(
                 data[(i0 * meta.k + j0) * 7 : (i0 * meta.k + j0 + 1) * 7]
             )
-            assert shares[j0][i0][0] == expected
+            assert shares[j0][i0][0] == tuple(expected.tolist())
 
 
 def test_outsource_matches_brute_force_oracle():
@@ -686,7 +686,8 @@ FIELDS = {"zp": M61, "gf2:8": binary_field(8), "gf2:16": binary_field(16)}
 def order_bytes(orders, fld):
     """Every order's header and its block, tag and deltas as stored bytes."""
     return [
-        (o.fid, o.server, o.target_ctr, fld.vectors_to_bytes([o.new_block, o.new_tag, *o.deltas]))
+        (o.fid, o.server, o.target_ctr,
+         fld.vectors_to_words([o.new_block, o.new_tag, *o.deltas], len(o.new_block)).tobytes())
         for o in orders
     ]
 

@@ -36,7 +36,7 @@ def test_get_set_and_wipe(fld):
     _, meta, _, states = build(fld, random.Random(1))
     cells = states[0].cells
     block, tag = cells[2]
-    zero = fld.vec_zeros(meta.chunks)
+    zero = fld.vec_from_ints([0] * meta.chunks)
     assert type(block) is type(zero)
     assert getattr(block, "dtype", None) == getattr(zero, "dtype", None)
     bumped = fld.vec_add(block, fld.vec_from_ints([1] + [0] * (meta.chunks - 1)))
@@ -155,10 +155,8 @@ def test_append_read_writes_back_the_files_own_bytes(fld, tmp_path):
     path = tmp_path / "x.share"
     store.write_share(states[4], path)
     raw = path.read_bytes()
-    tail = store.read_share(path, for_append=True)
+    tail = store.read_share(path)
     assert store.share_bytes(tail) == raw
-    with pytest.raises(LookupError, match="kept as stored bytes"):
-        tail.cells[0]
     payload = client.block_payload_size(fld, meta.chunks) * meta.k
     row = client.row_blocks_from_payload(meta, random.Random(8).randbytes(payload))
     order = client.append(sk, meta, row)[4]

@@ -58,6 +58,10 @@ def protocol_bytes(fld, seed=7):
     rng = random.Random(seed)
     sk, params = client.setup(fld, N, 4, 3, block_size=8, rng=rng)
     meta, shares = client.outsource(sk, params, rng.randbytes(60), rng=rng)
+
+    def stored(vecs):
+        return fld.vectors_to_words(vecs, meta.chunks).tobytes()
+
     out = [column_bytes(shares)]
     servers = client.make_server_states(meta, shares)
     payload = client.block_payload_size(fld, meta.chunks) * meta.k
@@ -68,10 +72,10 @@ def protocol_bytes(fld, seed=7):
             server.apply_append(state, order)
         _, carried = meta.parity_masks
         out.append([
-            (o.server, o.target_ctr, fld.vectors_to_bytes([o.new_block, o.new_tag, *o.deltas]))
+            (o.server, o.target_ctr, stored([o.new_block, o.new_tag, *o.deltas]))
             for o in orders
         ])
-        out.append([fld.vectors_to_bytes(masks) for masks in carried])
+        out.append([stored(masks) for masks in carried])
         out.append(store.meta_bytes(meta))
     dumps = [server.dump_all(state) for state in servers]
     dumps[2] = None

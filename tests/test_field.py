@@ -337,12 +337,16 @@ def test_payload_round_trip():
     rng = random.Random(11)
     for fld, nbytes in ((M61, 7 * 9), (GF8, 13), (GF16, 26)):
         data = rng.randbytes(nbytes)
-        vec = fld.chunks_from_payload(data)
+        words = fld.payload_words(data)
+        assert words.dtype == fld.stored_dtype
+        assert fld.chunks_to_payload(words) == data
+        # A decoded vector gives the same bytes as its stored words.
+        (vec,) = fld.vectors_from_words(words.reshape(1, -1))
         assert fld.chunks_to_payload(vec) == data
     with pytest.raises(ParameterError):
-        GF16.chunks_from_payload(b"\x00" * 3)
+        GF16.payload_words(b"\x00" * 3)
     with pytest.raises(ParameterError):
-        Z11.chunks_from_payload(b"ab")  # toy modulus carries no payload
+        Z11.payload_words(b"ab")  # toy modulus carries no payload
 
 
 @pytest.mark.parametrize("p", [257, 65537, MERSENNE61])
@@ -351,16 +355,19 @@ def test_prime_payload_words(p):
     g = fld.payload_size
     rng = random.Random(p)
     data = rng.randbytes(g * 50) + b"\xff" * g
-    vec = fld.chunks_from_payload(data)
+    words = fld.payload_words(data)
+    vec = tuple(words.tolist())
     assert vec == tuple(int.from_bytes(data[t : t + g], "little") for t in range(0, len(data), g))
-    assert fld.chunks_to_payload(vec) == data
-    assert fld.chunks_from_payload(b"") == () and fld.chunks_to_payload(()) == b""
+    assert fld.chunks_to_payload(words) == fld.chunks_to_payload(vec) == data
+    assert fld.payload_words(b"").size == 0 and fld.chunks_to_payload(()) == b""
     if g > 1:
         with pytest.raises(ParameterError, match=f"multiple of {g}"):
-            fld.chunks_from_payload(data + b"\x00")
+            fld.payload_words(data + b"\x00")
     for bad in (1 << (8 * g), -1):
         with pytest.raises(ParameterError, match="does not fit the payload width"):
             fld.chunks_to_payload(vec[:3] + (bad,))
+    with pytest.raises(ParameterError, match="does not fit the payload width"):
+        fld.chunks_to_payload(np.append(words[:3], np.uint64(1 << (8 * g))))
     with pytest.raises(ParameterError, match="too small"):
         Z11.chunks_to_payload((1,))
 
@@ -371,14 +378,13 @@ def test_stored_vectors_round_trip(fld):
     for count, c in ((0, 3), (1, 1), (6, 4)):
         vecs = [fld.vec_from_ints([fld.rand_element(rng) for _ in range(c)])
                 for _ in range(count)]
-        data = fld.vectors_to_bytes(vecs)
+        words = fld.vectors_to_words(vecs, c)
+        assert words.shape == (count, c) and words.dtype == fld.stored_dtype
+        data = words.tobytes()
         assert len(data) == count * c * fld.element_size
         # Each element little-endian in element_size bytes, in order.
         assert data == b"".join(int(x).to_bytes(fld.element_size, "little")
                                 for v in vecs for x in v)
-        words = fld.vectors_to_words(vecs, c)
-        assert words.shape == (count, c) and words.dtype == fld.stored_dtype
-        assert words.tobytes() == data
         stored = np.frombuffer(b"pad" + data, fld.stored_dtype, count * c, 3)
         got = fld.vectors_from_words(stored.reshape(count, c))
         assert len(got) == count
@@ -389,7 +395,7 @@ def test_stored_vectors_round_trip(fld):
 
 
 def test_stored_prime_word_out_of_range():
-    data = M61.vectors_to_bytes([(1, 2)]) + M61.order.to_bytes(8, "little")
+    data = M61.vectors_to_words([(1, 2)], 2).tobytes() + M61.order.to_bytes(8, "little")
     M61.check_words(np.frombuffer(data[:16], M61.stored_dtype))
     with pytest.raises(FieldMismatchError, match="outside"):
         M61.check_words(np.frombuffer(data, M61.stored_dtype).reshape(3, 1))

@@ -104,7 +104,7 @@ def test_apply_append_zero_block_keeps_parity_blocks():
     state = servers[0]
     old_parity_blocks = [state.cells[meta.ktilde + t][0] for t in range(meta.stilde)]
     old_parity_tags = [state.cells[meta.ktilde + t][1] for t in range(meta.stilde)]
-    zero_row = [M61.vec_zeros(1) for _ in range(meta.k)]
+    zero_row = [M61.vec_from_ints([0]) for _ in range(meta.k)]
     orders = client.append(sk, meta, zero_row)
     apply_append(state, orders[0])
     for t in range(meta.stilde):
@@ -146,7 +146,7 @@ def test_apply_append_column_stays_codeword():
 def test_apply_append_rejects_wrong_sequence():
     rng = random.Random(7)
     sk, meta, servers = build_system(rng)
-    row = [M61.vec_zeros(1) for _ in range(meta.k)]
+    row = [M61.vec_from_ints([0]) for _ in range(meta.k)]
     orders = client.append(sk, meta, row)
     apply_append(servers[0], orders[0])
     with pytest.raises(OrderRejectedError):
@@ -160,7 +160,7 @@ def test_apply_append_rejects_wrong_sequence():
 def test_apply_append_rejects_bad_shapes():
     rng = random.Random(8)
     sk, meta, servers = build_system(rng)
-    row = [M61.vec_zeros(1) for _ in range(meta.k)]
+    row = [M61.vec_from_ints([0]) for _ in range(meta.k)]
     orders = client.append(sk, meta, row)
     bad = client.AppendOrder(
         orders[0].fid,
@@ -223,7 +223,7 @@ def test_apply_append_screens_every_vector(token, block_size):
     ))
     block, tag = state.cells[meta.ktilde - 1]
     assert fld.vec_eq(block, order.new_block) and fld.vec_eq(tag, order.new_tag)
-    zero = fld.vec_zeros(1)
+    zero = fld.vec_from_ints([0])
     for vec in (block, tag):
         assert type(vec) is type(zero)
         assert getattr(vec, "dtype", None) == getattr(zero, "dtype", None)
@@ -271,7 +271,7 @@ def test_prove_zero_fills_wiped_cells():
     state = servers[0]
     state.cells[2] = None
     mu, sigma = prove(state, ChallengeSet(0, ((3, 5),)))
-    assert mu == M61.vec_zeros(1) and sigma == M61.vec_zeros(1)
+    assert mu == M61.vec_from_ints([0]) and sigma == M61.vec_from_ints([0])
 
 
 def test_append_makes_one_batch_inversion_per_server(monkeypatch):

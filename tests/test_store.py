@@ -28,13 +28,11 @@ def build_states(fld, rng, block_size=64, rows=3):
     return meta, client.make_server_states(meta, shares)
 
 
-# build_states shares have r = 5.  Every reader check runs on a whole read,
-# on a read for an append, and on a read of the last, first and middle
-# rows, one of them repeated.
+# build_states shares have r = 5.  Every reader check runs on a whole read
+# and on a read of the last, first and middle rows, one of them repeated.
 ROWS = [5, 1, 3, 1]
 READS = (
     store.read_share,
-    lambda path: store.read_share(path, for_append=True),
     lambda path: store.read_share(path, ROWS),
 )
 
@@ -184,31 +182,45 @@ def test_append_read_writes_back_what_a_whole_read_does(fld, tmp_path):
     payload = 3 * client.block_payload_size(fld, client.chunks_per_block(fld, 64))
     meta, shares = outsource(sk, params, rng.randbytes(9 * payload), rng=rng)
     path = tmp_path / "x.share"
-    store.write_share(client.make_server_states(meta, shares)[2], path)
+    # The state written, kept in memory, against the same share read back.
+    whole = client.make_server_states(meta, shares)[2]
+    store.write_share(whole, path)
     raw = path.read_bytes()
-    whole = store.read_share(path)
-    tail = store.read_share(path, for_append=True)
+    tail = store.read_share(path)
     assert (whole.ktilde, whole.r) == (9, 11)
     assert store.share_bytes(tail) == raw
-    for i in range(1, whole.ktilde):
-        with pytest.raises(LookupError, match=f"row {i} was kept as stored bytes"):
-            tail.cells[i - 1]
-    for i in range(whole.ktilde, whole.r + 1):
+    for i in range(1, whole.r + 1):
         for got, want in zip(tail.cells[i - 1], whole.cells[i - 1]):
             assert type(got) is type(want) and fld.vec_eq(got, want)
     with pytest.raises(IndexError, match="row 12 out of range 1..11"):
         tail.cells[11]
-    # Two appends later both reads serialize to the same bytes.
+    # Two appends later both serialize to the same bytes.
     for _ in range(2):
         row = client.row_blocks_from_payload(meta, rng.randbytes(payload))
         order = client.append(sk, meta, row)[2]
         server.apply_append(whole, order)
         server.apply_append(tail, order)
         assert store.share_bytes(tail) == store.share_bytes(whole)
-    for i in range(1, 9):  # rows 1..8 are still the words they were stored as
-        with pytest.raises(LookupError, match=f"row {i} was kept as stored bytes"):
-            tail.cells[i - 1]
-    assert fld.vec_eq(tail.cells[8][0], whole.cells[8][0])  # row 9 was read
+    assert fld.vec_eq(tail.cells[8][0], whole.cells[8][0])
+
+
+@pytest.mark.parametrize("fld", [M61, GF8], ids=lambda f: f.token)
+def test_whole_read_takes_an_append_in_place(fld, tmp_path):
+    # A whole read keeps room for one more row, so apply_append neither
+    # regrows nor copies the column it read.
+    rng = random.Random(25)
+    sk, params = setup(fld, 5, 3, 2, block_size=64, rng=rng)
+    payload = 3 * client.block_payload_size(fld, client.chunks_per_block(fld, 64))
+    meta, shares = outsource(sk, params, rng.randbytes(9 * payload), rng=rng)
+    path = tmp_path / "x.share"
+    store.write_share(client.make_server_states(meta, shares)[2], path)
+    state = store.read_share(path)
+    words = state.cells.words
+    assert len(words) == state.r + 1
+    order = client.append(sk, meta, client.row_blocks_from_payload(meta, rng.randbytes(payload)))[2]
+    server.apply_append(state, order)
+    assert state.cells.words is words and len(state.cells) == len(words)
+    assert fld.vec_eq(state.cells[state.ktilde - 1][0], order.new_block)
 
 
 def test_partial_share_never_answers_for_an_unread_row(tmp_path):

@@ -45,7 +45,7 @@ class Oracle:
         for i, (block, _) in enumerate(state.cells, 1):
             ctr = 0 if i <= state.ktilde else state.ctr
             key = (state.fid, state.j, i, ctr)
-            raw = fld.vectors_to_bytes([block])
+            raw = fld.vectors_to_words([block], state.chunks).tobytes()
             if self.blocks.setdefault(key, raw) != raw:
                 self.reused.add(key)
 
