@@ -51,6 +51,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(6, f"{self.prog}: error: {message}\n")
 
 
+def _positive_ints(text: str) -> list[int]:
+    """Comma-separated positive integers, an argparse type."""
+    values = [int(s) if s.isdecimal() else 0 for s in text.split(",") if s]
+    if 0 in values:
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
+    return values
+
+
 def _rng(seed):
     return random.Random(seed) if seed is not None else random.SystemRandom()
 
@@ -276,8 +284,6 @@ _BENCH_APPENDS = 5
 
 def cmd_bench(args) -> int:
     fld = field_from_token(args.field)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    queries = [int(s) for s in args.query_sizes.split(",") if s]
     rows, counts = [], []
     rng = random.Random(args.seed if args.seed is not None else 0)
     sk = keygen(fld, rng)
@@ -285,7 +291,7 @@ def cmd_bench(args) -> int:
         fld, args.n, args.k, args.stilde, args.eps_q, args.eps_p,
         args.window, args.block_size,
     )
-    for size in sizes:
+    for size in args.sizes:
         data = rng.randbytes(size)
         t0 = time.perf_counter()
         meta, shares = client.outsource(sk, params, data, rng=rng)
@@ -305,7 +311,7 @@ def cmd_bench(args) -> int:
             f" {split['append']} for append"
         )
         counts += [(size, f"{op}_processes", count) for op, count in split.items()]
-        for l in queries:
+        for l in args.queries:
             if l > meta.r:
                 print(f"|F|={size} |Q|={l}: skipped (r={meta.r} too small)")
                 continue
@@ -337,12 +343,12 @@ def cmd_bench(args) -> int:
         append_s = statistics.median(append_s)
         print(f"|F|={size}: append {append_s * 1e3:.1f} ms (median of {_BENCH_APPENDS})")
         rows.append((size, 0, "append", append_s))
-        if queries:
+        if args.queries:
             # Audits right after the appends, on uniform rows as client.challenge
             # draws them: a drawn row among the newest row and the parity rows
             # takes the mask the last append carried, older rows the PRF cache
             # or the kernel.
-            l = min(queries[0], meta.r)
+            l = min(args.queries[0], meta.r)
             audit_s = []
             ok = True
             for _ in range(_BENCH_APPENDS):
@@ -369,7 +375,7 @@ def cmd_bench(args) -> int:
     rows.append((0, 0, "prf_cell", prf_cell_s))
     # The field layer alone: one server's proof, a vec_combine over |Q| rows
     # of block and tag words as prove passes them.
-    for l in queries:
+    for l in args.queries:
         words = fld.payload_words(rng.randbytes(l * 2 * chunks * fld.payload_size))
         words = words.reshape(l, 2 * chunks)
         coeffs = [fld.rand_element(rng) for _ in range(l)]
@@ -469,9 +475,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="timing sweeps over file and query sizes")
     common(p, meta_required=False)
     code_params(p)
-    p.add_argument("--sizes", default="1048576", help="comma-separated file sizes")
+    p.add_argument("--sizes", type=_positive_ints, default="1048576", help="comma-separated file sizes")
     p.add_argument(
-        "--query-sizes", default="16,64", dest="query_sizes",
+        "--query-sizes", type=_positive_ints, default="16,64", dest="queries",
         help="comma-separated challenge sizes",
     )
     p.add_argument("--bench-out", default="bench.tsv", dest="bench_out")

@@ -46,6 +46,8 @@ from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field as dc_field, replace
 
+import numpy as np
+
 from . import auth, crs, fanout
 from .auth import SecretKey, TagContext
 from .errors import CapacityError, ParameterError
@@ -211,8 +213,8 @@ def _data_words(fld: Field, data: bytes, k: int, chunks: int):
     return fld.payload_words(padded).reshape(-1, k, chunks)
 
 
-# Words of blocks decoded into field vectors at once while rows are
-# row-encoded: the bound on the vectors held for the dispersal code.
+# Stored words of the blocks in one call of the dispersal code: the bound on
+# the Python ints (Z_p) or index arrays (GF(2^w)) that one row encode holds.
 _ROW_BATCH_WORDS = 1 << 14
 
 
@@ -221,8 +223,8 @@ def _product_encode(fld: Field, data, n: int, k: int, stilde: int) -> list[Colum
 
     data is the data blocks' stored words, a (ktilde, k, c) array.  Returns
     one new column per server with its blocks written and its tags still
-    to come.  Blocks become field vectors only a column, or a batch of
-    rows, at a time, so no grid of the whole file's vectors is ever held.
+    to come.  Both codes encode stored words: one call per data column,
+    then one per batch of rows, each column's blocks of it as one row.
     """
     ktilde, _, c = data.shape
     r = ktilde + stilde
@@ -231,18 +233,16 @@ def _product_encode(fld: Field, data, n: int, k: int, stilde: int) -> list[Colum
     for j, column in enumerate(columns[:k]):
         blocks = column.words[:r, 0]
         blocks[:ktilde] = data[:, j]
-        if stilde:
-            parity = col_code.encode_vectors(fld.vectors_from_words(blocks[:ktilde]))[ktilde:]
-            blocks[ktilde:] = fld.vectors_to_words(parity, c)
+        blocks[ktilde:] = col_code.encode_words(blocks[:ktilde])
     del col_code  # frees its inverse table and packed ints before the rows
     row_code = crs.row_code(n - k, k, fld)
     batch = max(1, _ROW_BATCH_WORDS // (n * c))
     for lo in range(0, r, batch):
         hi = min(lo + batch, r)
-        message = [fld.vectors_from_words(column.words[lo:hi, 0]) for column in columns[:k]]
-        parity = [row_code.encode_vectors(list(row))[k:] for row in zip(*message)]
-        for t, column in enumerate(columns[k:]):
-            column.words[lo:hi, 0] = fld.vectors_to_words([p[t] for p in parity], c)
+        message = np.stack([column.words[lo:hi, 0] for column in columns[:k]])
+        parity = row_code.encode_words(message.reshape(k, -1))
+        for column, words in zip(columns[k:], parity):
+            column.words[lo:hi, 0] = words.reshape(hi - lo, c)
     return columns
 
 

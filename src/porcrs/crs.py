@@ -15,9 +15,10 @@ checked by their bounds, so building, extending and reading single
 entries take time and memory independent of k; Cauchy rows are computed
 only when asked for.  Over Z_p the canonical grid is Hankel, entry (i, j)
 being 1 / (i + j + 1), so all its rows are slices of one table of s + k - 1
-inverses; otherwise each row takes one batch inversion.  Over Z_p the
-encode computes all parity rows in one pass of big-int sums (see
-DistributionMatrix._packed_parity).  Explicit X/Y sets are accepted for
+inverses; otherwise each row takes one batch inversion.  The encode maps
+a (k, L) array of stored words to the (s, L) parity words; over Z_p one
+big-int sum per position gives up to 64 parity rows (see
+DistributionMatrix.encode_words).  Explicit X/Y sets are accepted for
 library use and test vectors.
 """
 
@@ -28,10 +29,12 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .errors import CapacityError, ParameterError, UnrecoverableError
 from .field import Field, PrimeField
 
-# Parity rows per packed int in the Z_p encode (see _packed_parity).  More
+# Parity rows per packed int in the Z_p encode (see encode_words).  More
 # rows take several groups, each built when used and cached only when it is
 # the only one: at 2x10^4 inputs and s = 2,000, all packed ints together
 # would take about 700 MB.
@@ -189,59 +192,50 @@ class DistributionMatrix:
         return DistributionMatrix(CauchySets(self.sets.xs, ys), fld)
 
     def encode(self, message) -> list[int]:
-        """Message of k symbols -> systematic codeword of n symbols.
-
-        A one-chunk wrapper over :meth:`encode_vectors`.
-        """
+        """Message of k symbols -> systematic codeword of n symbols."""
         fld = self.field
-        codeword = self.encode_vectors([fld.vec_from_ints([m]) for m in message])
-        return [int(v[0]) for v in codeword]
+        vec = fld.vec_from_ints(message)
+        parity = self.encode_words(np.array([vec], dtype=fld.stored_dtype).T)
+        return fld.vec_to_ints(vec) + parity[:, 0].tolist()
 
     def encode_vectors(self, vecs) -> list:
-        """Systematic encode applied position-wise to chunk vectors."""
-        if len(vecs) != self.k_cols:
-            raise ParameterError(f"need k = {self.k_cols} vectors, got {len(vecs)}")
-        fld = self.field
-        if isinstance(fld, PrimeField):
-            return list(vecs) + self._packed_parity(vecs)
-        stacked = fld.vec_stack(vecs)
-        out = list(vecs)
-        for i in range(self.s_rows):
-            out.append(fld.vec_combine(self.cauchy_row(i), stacked))
-        return out
+        """Systematic encode applied position-wise to chunk vectors: a
+        wrapper over :meth:`encode_words`, by way of their stored words."""
+        if len(vecs) != self.k_cols or len(set(map(len, vecs))) != 1:
+            raise ParameterError(f"need k = {self.k_cols} vectors of one length")
+        parity = self.encode_words(self.field.vectors_to_words(vecs, len(vecs[0])))
+        return list(vecs) + self.field.vectors_from_words(parity)
 
-    def _packed_parity(self, vecs) -> list:
-        """Every parity vector over Z_p, a group of rows per big-int sum.
+    def encode_words(self, words):
+        """The (s, L) parity words of a (k, L) array of stored words.
 
-        Input t's coefficients a_it of the group's rows sit in one int,
-        a_it in slot i, each slot wide enough for a sum of k products below
-        p^2.  At chunk position u, sum_t v_t[u] * packed_t then holds the
-        group's parity values at u, one per slot, before reduction mod p
-        (Kronecker substitution).
+        In GF(2^w) each parity row is one vec_combine.  Over Z_p, input t's
+        coefficients a_it of a group of rows sit in one int, a_it in slot
+        i, each slot wide enough for a sum of k products below p^2: at
+        position u, sum_t words[t, u] * packed_t holds the group's parity
+        values at u, one per slot, before reduction mod p (Kronecker
+        substitution).
         """
-        s = self.s_rows
-        if not s:
-            return []
-        if not vecs:
-            raise ParameterError("encode needs at least one vector")
-        c = len(vecs[0])
-        if len(set(map(len, vecs))) > 1:
-            raise ParameterError("vectors must have the same length")
-        p = self.field.order
-        slot = 2 * p.bit_length() + self.k_cols.bit_length() + 1
+        k, s = self.k_cols, self.s_rows
+        if words.ndim != 2 or len(words) != k:
+            raise ParameterError(f"need a ({k}, L) array of words, got {words.shape}")
+        fld = self.field
+        out = np.empty((s, words.shape[1]), dtype=fld.stored_dtype)
+        if not isinstance(fld, PrimeField):
+            for i in range(s):
+                out[i] = fld.vec_combine(self.cauchy_row(i), words)
+            return out
+        p = fld.order
+        slot = 2 * p.bit_length() + k.bit_length() + 1
         mask = (1 << slot) - 1
-        positions = [list(map(operator.itemgetter(u), vecs)) for u in range(c)]
-        parity: list[tuple] = []
+        positions = words.T.tolist()
         for lo in range(0, s, _PACKED_ROWS):
             rows = min(_PACKED_ROWS, s - lo)
             packed = self._packed_group(lo, rows, slot)
+            totals = [sum(map(operator.mul, column, packed)) for column in positions]
             shifts = range(0, rows * slot, slot)
-            values = []  # per position, the group's parity values
-            for column in positions:
-                total = sum(map(operator.mul, column, packed))
-                values.append([(total >> b & mask) % p for b in shifts])
-            parity += zip(*values)
-        return parity
+            out[lo : lo + rows] = [[(t >> b & mask) % p for t in totals] for b in shifts]
+        return out
 
     def _packed_group(self, lo: int, rows: int, slot: int) -> list[int]:
         """Per input t, rows lo..lo+rows-1 of column t in one int, row lo

@@ -992,3 +992,12 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["audit"])  # --meta is required
     assert exc.value.code == 6
+
+
+@pytest.mark.parametrize("option", ["--sizes", "--query-sizes"])
+@pytest.mark.parametrize("value", ["12x", "4096,0", "-1"])
+def test_bench_size_lists_are_usage_errors(option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", option, value])
+    assert exc.value.code == 6
+    assert "positive integers" in capsys.readouterr().err

@@ -128,6 +128,38 @@ def test_outsource_matches_brute_force_oracle():
             assert shares[j0][i0] == oracle[i0][j0]
 
 
+def cauchy_coefficients(fld, s, k):
+    """The canonical Cauchy grid, entry by entry: 1 / (i - (order - 1 - j))."""
+    return [[fld.inv(fld.sub(i, fld.order - 1 - j)) for j in range(k)] for i in range(s)]
+
+
+@pytest.mark.parametrize("token, block_size, ktilde", [("zp", 7, 2500), ("gf2:8", 64, 60)])
+def test_outsource_over_several_row_batches_matches_row_by_row(token, block_size, ktilde):
+    fld = FIELDS[token]
+    rng = random.Random(30)
+    n, k, stilde = 15, 9, 12
+    sk, params = setup(fld, n, k, stilde, block_size=block_size, rng=rng)
+    payload = rng.randbytes(ktilde * k * block_size)
+    meta, shares = outsource(sk, params, payload, rng=rng)
+    c, r = meta.chunks, meta.r
+    assert meta.ktilde == ktilde and r > 2 * (client._ROW_BATCH_WORDS // (n * c))
+    # Reference: each column's parity cell by cell, then each row's.
+    grid = fld.payload_words(payload).reshape(ktilde, k, c)
+    col_rows = cauchy_coefficients(fld, stilde, ktilde)
+    blocks = []
+    for j in range(k):
+        column = list(fld.vectors_from_words(grid[:, j]))
+        blocks.append(column + [fld.vec_combine(row, grid[:, j]) for row in col_rows])
+    row_rows = cauchy_coefficients(fld, n - k, k)
+    for i0 in range(r):
+        line = [column[i0] for column in blocks]
+        for t, row in enumerate(row_rows):
+            want = fld.vectors_to_words([fld.vec_combine(row, line)], c)[0]
+            assert (shares[k + t].words[i0, 0] == want).all(), (i0, t)
+    for j in range(k):
+        assert (shares[j].words[:r, 0] == fld.vectors_to_words(blocks[j], c)).all()
+
+
 def test_outsource_rejects_empty_and_oversize():
     rng = random.Random(4)
     sk, params = setup(M61, 4, 2, 1, rng=rng)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from porcrs import crs
@@ -339,6 +340,42 @@ def test_hankel_table_is_one_inversion(fld, monkeypatch):
     assert len(calls) == s
     monkeypatch.undo()
     check_against_direct(shifted, 3, random.Random(1))
+
+
+# -- the word kernel against the direct paths -------------------------------
+
+WORD_FIELDS = [*PRIMES, GF8, GF16]
+
+
+@pytest.mark.parametrize(
+    "fld, s, k, L",
+    [
+        pytest.param(fld, s, k, L, id=f"{fld.token}-s{s}-k{k}-L{L}")
+        for fld in WORD_FIELDS
+        for s, k in SHAPES
+        for L in (1, 3, 1100)
+        if s + k <= fld.order
+    ],
+)
+def test_encode_words_matches_direct(fld, s, k, L):
+    rng = np.random.default_rng(s * 10_000 + k * 10 + L)
+    m = canonical_matrix(s, k, fld)
+    random_words = rng.integers(0, fld.order, size=(k, L), dtype=np.uint64)
+    # Extremes too: every word order - 1 fills every Z_p slot as far as it goes.
+    for words in (random_words, np.full((k, L), fld.order - 1, dtype=np.uint64)):
+        words = words.astype(fld.stored_dtype)
+        parity = m.encode_words(words)
+        assert parity.shape == (s, L) and parity.dtype == fld.stored_dtype
+        want = [fld.vec_to_ints(v) for v in direct_parity(m, words)]
+        assert parity.tolist() == want
+
+
+@pytest.mark.parametrize("fld", [M61, GF8], ids=lambda f: f.token)
+def test_encode_words_refuses_the_wrong_row_count(fld):
+    m = canonical_matrix(3, 4, fld)
+    for shape in [(3, 2), (5, 2), (4,), (4, 2, 1)]:
+        with pytest.raises(ParameterError):
+            m.encode_words(np.zeros(shape, dtype=fld.stored_dtype))
 
 
 # -- recovery plans against the scalar reference ---------------------------
