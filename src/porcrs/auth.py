@@ -27,27 +27,32 @@ saves the key-block compression and the per-cell set-up.  The chunk
 suffixes u are built per call; no module-level table holds them.  In
 GF(2^w) each cell's chunks go through three C-level passes, 256 chunks
 at a time: copy the cell state, update each copy, join the digests.
-prf, prf_vector, tag_block, tag_delta and verify_block are one-cell
-wrappers over it, and the client calls it once per server for outsource,
-append and audit.  Outsource, repair's re-tagging and append share their
-servers between forked processes (``fanout.map_servers``) when the call
-is large enough and the process may use more than one CPU; each server's
-call runs whole in one process, so its masks are the ones above.  The
-children inherit the key as any fork does, and only stored words and
-masks come back through an anonymous pipe.  Audits and repair's cell
-checks stay in this process, since their stores into the mask cache
-would be lost in a child.  An append asks for 1 + 2 stilde cells per server (the
-new data cell and each parity slot at its old and new context), but an
-in-memory append after the first asks for 1 + stilde: it reuses the
-masks the previous append left on the metadata.  An audit takes the
-masks of the newest data row and of the parity rows from that carry too,
-so right after an in-memory append it asks the kernel only for data rows
-the mask cache lacks.  A ``porcrs append`` or ``porcrs audit`` process
-reads fresh metadata, has no carry, and computes every mask it needs.
-The mask cache keeps data cells only (counter 0, a context that never
-changes), whoever calls it; a carried mask of a data row joins it as a
-computed one would.  Every mask an append carries or the cache holds is
-read-only in GF(2^w), since several holders share it.
+prf, prf_vector, prf_vector_cached, tag_block, tag_delta and
+verify_block are one-cell wrappers over it, and the client calls it once
+per server for outsource, append and audit.  Outsource, repair's
+re-tagging and append share their servers between forked processes
+(``fanout.map_servers``) when the call is large enough and the process
+may use more than one CPU; each server's call runs whole in one process,
+so its masks are the ones above.  The children inherit the key as any
+fork does, and only stored words come back through an anonymous pipe.
+Audits and repair's cell checks stay in this process, since their
+stores into the mask cache would be lost in a child.
+
+Masks, tags and tag deltas are arrays of stored words, one row per cell.
+An append asks for 1 + 2 stilde cells per server (the new data cell and
+each parity slot at its old and new context), but an in-memory append
+after the first asks for 1 + stilde: it reuses the masks the previous
+append left on the metadata.  That carry is one read-only
+(1 + stilde, c) array per server, the masks of the newest data row and
+of the parity rows in row order.  An audit takes the masks of those rows
+from the carry too, so right after an in-memory append it asks the
+kernel only for data rows the mask cache lacks.  A ``porcrs append`` or
+``porcrs audit`` process reads fresh metadata, has no carry, and
+computes every mask it needs.  The mask cache keeps data cells only
+(counter 0, a context that never changes), whoever calls it, each as the
+bytes of its stored words: they join into one array cheaply, and a
+cached mask holds no view of a larger array.  A carried mask of a data
+row joins the cache as a computed one would.
 
 alpha is never 0: with alpha = 0 a tag is its mask alone, and any block
 would verify.
@@ -61,7 +66,7 @@ import os
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -127,18 +132,19 @@ def _digests(cell, suffixes) -> bytes:
 def prf_masks(
     kprf: bytes, fid: bytes, server: int, cells, count: int, fld: Field, *, first: int = 0
 ):
-    """PRF mask vectors of many cells of one server's column.
+    """PRF masks of many cells of one server's column.
 
-    cells is a list of (row, ctr) pairs; entry t of the result holds the
-    PRF values of chunks first..first+count-1 of cell t, as a chunk vector.
-    One keyed BLAKE2b state absorbs fid once per call, and each cell hashes
-    a copy of it updated with row || server || ctr || u, so the bytes are
-    those of the per-cell definition above.  The 8-byte chunk suffixes u
-    are built once per call.  A digest is reduced mod p in Z_p.  In
-    GF(2^w) a cell's chunk states go through three C-level passes (copy
-    the cell state, update each copy with its suffix, join the digests),
-    _GROUP chunks at a time, and the low w bits of each digest, its last
-    w/8 bytes, are kept as one big-endian word, whatever w is.
+    cells is a list of (row, ctr) pairs; row t of the (len(cells), count)
+    array of stored words that is returned holds the PRF values of chunks
+    first..first+count-1 of cell t.  One keyed BLAKE2b state absorbs fid
+    once per call, and each cell hashes a copy of it updated with
+    row || server || ctr || u, so the bytes are those of the per-cell
+    definition above.  The 8-byte chunk suffixes u are built once per
+    call.  A digest is reduced mod p in Z_p.  In GF(2^w) a cell's chunk
+    states go through three C-level passes (copy the cell state, update
+    each copy with its suffix, join the digests), _GROUP chunks at a time,
+    and the low w bits of each digest, its last w/8 bytes, are read as one
+    big-endian word, whatever w is.
     """
     if len(fid) != 16:
         raise ParameterError("fid must be exactly 16 bytes")
@@ -147,29 +153,30 @@ def prf_masks(
     base = hashlib.blake2b(fid, key=kprf, digest_size=_DIGEST)
     sj = server.to_bytes(8, "big")
     chunks = list(map(int.to_bytes, range(first, first + count), repeat(8), repeat("big")))
-    out = []
     if isinstance(fld, BinaryField):
+        out = np.empty((len(cells), count), dtype=fld.stored_dtype)
         word = np.dtype(f">u{fld.element_size}")
         groups = [chunks[lo : lo + _GROUP] for lo in range(0, count, _GROUP)]
-        for row, ctr in cells:
+        for t, (row, ctr) in enumerate(cells):
             cell = base.copy()
             cell.update(row.to_bytes(8, "big") + sj + ctr.to_bytes(8, "big"))
             digests = b"".join([_digests(cell, group) for group in groups])
             raw = np.frombuffer(digests, dtype=np.uint8).reshape(count, _DIGEST)
-            tail = raw[:, _DIGEST - word.itemsize :].copy()
-            out.append(tail.view(word).astype(fld.dtype).ravel())
+            out[t] = raw[:, _DIGEST - word.itemsize :].copy().view(word).ravel()
         return out
     p = fld.order
     copy = base.copy
-    for row, ctr in cells:
-        msg = row.to_bytes(8, "big") + sj + ctr.to_bytes(8, "big")
-        vec = []
-        for u8 in chunks:
-            h = copy()
-            h.update(msg + u8)
-            vec.append(int.from_bytes(h.digest(), "big") % p)
-        out.append(tuple(vec))
-    return out
+
+    def masks():
+        for row, ctr in cells:
+            msg = row.to_bytes(8, "big") + sj + ctr.to_bytes(8, "big")
+            for u8 in chunks:
+                h = copy()
+                h.update(msg + u8)
+                yield int.from_bytes(h.digest(), "big") % p
+
+    out = np.fromiter(masks(), dtype=fld.stored_dtype, count=len(cells) * count)
+    return out.reshape(len(cells), count)
 
 
 def prf(kprf: bytes, ctx: TagContext, fld: Field) -> int:
@@ -180,7 +187,8 @@ def prf(kprf: bytes, ctx: TagContext, fld: Field) -> int:
 
 def prf_vector(kprf: bytes, ctx: TagContext, count: int, fld: Field):
     """PRF values for chunks 0..count-1 of one cell, as a chunk vector."""
-    return prf_masks(kprf, ctx.fid, ctx.server, [(ctx.row, ctx.ctr)], count, fld)[0]
+    masks = prf_masks(kprf, ctx.fid, ctx.server, [(ctx.row, ctx.ctr)], count, fld)
+    return fld.vectors_from_words(masks)[0]
 
 
 # Masks are PRF values the client can always recompute; memoize those of
@@ -190,47 +198,41 @@ _PRF_CACHE: dict = {}
 _PRF_CACHE_MAX = 16384
 
 
-def read_only(masks) -> tuple:
-    """The masks as a tuple, each GF(2^w) array made read-only, so that
-    holders who share them cannot change one another's copy."""
-    for vec in masks:
-        if isinstance(vec, np.ndarray):
-            vec.flags.writeable = False
-    return tuple(masks)
-
-
 def prf_masks_cached(
     kprf: bytes, fid: bytes, server: int, cells, count: int, fld: Field, held=None
 ):
-    """prf_masks, with counter-0 cells looked up in and stored to the cache.
+    """prf_masks, with counter-0 cells looked up in and stored to the cache;
+    the masks come back as one read-only array.
 
-    held maps the index of a cell in cells to the mask the caller already
-    holds for it; that mask stands in for a kernel call and is stored like
-    a computed one.  Every other cell and every miss take one kernel call,
-    whose masks are returned read-only (GF(2^w)), since the cache may share
-    them.
+    held maps the index of a cell in cells to the row of stored words the
+    caller already holds for it; that mask stands in for a kernel call and
+    is stored like a computed one.  Every other cell and every miss take
+    one kernel call.  The cache stores bytes of their own, never a view:
+    a held mask is often a row of an append's whole array, which a cache
+    entry would otherwise keep alive long after the append.
     """
     keys = [(kprf, fid, row, server, count, fld.token) if ctr == 0 else None for row, ctr in cells]
     out = [key and _PRF_CACHE.get(key) for key in keys]
-    taken = [(t, vec) for t, vec in held.items() if out[t] is None] if held else []
-    for t, vec in taken:
-        out[t] = vec
-    missing = [t for t, vec in enumerate(out) if vec is None]
+    taken = [(t, mask.tobytes()) for t, mask in held.items() if out[t] is None] if held else []
+    for t, mask in taken:
+        out[t] = mask
+    missing = [t for t, mask in enumerate(out) if mask is None]
     fresh = ()
     if missing:
-        fresh = read_only(prf_masks(kprf, fid, server, [cells[t] for t in missing], count, fld))
-    for t, vec in chain(taken, zip(missing, fresh)):
-        out[t] = vec
+        computed = prf_masks(kprf, fid, server, [cells[t] for t in missing], count, fld)
+        fresh = map(np.ndarray.tobytes, computed)
+    for t, mask in chain(taken, zip(missing, fresh)):
+        out[t] = mask
         if keys[t] is None:
             continue
         if len(_PRF_CACHE) >= _PRF_CACHE_MAX:
             _PRF_CACHE.clear()
-        _PRF_CACHE[keys[t]] = vec
-    return out
+        _PRF_CACHE[keys[t]] = mask
+    return np.frombuffer(b"".join(out), fld.stored_dtype).reshape(len(cells), count)
 
 
 def prf_vector_cached(kprf: bytes, ctx: TagContext, count: int, fld: Field):
-    """prf_vector through the cache."""
+    """prf_vector through the cache, as a read-only row of stored words."""
     return prf_masks_cached(kprf, ctx.fid, ctx.server, [(ctx.row, ctx.ctr)], count, fld)[0]
 
 
@@ -238,59 +240,54 @@ def clear_prf_cache() -> None:
     _PRF_CACHE.clear()
 
 
-def tags_from_masks(alpha: int, masks, blocks, fld: Field) -> list:
-    """mask + alpha * block for each cell: the tag formula.
-
-    Each cell's mask and block must have the same chunk count; blocks may
-    also be a 2-D array of stored words, one row per cell.  In Z_p one
-    flat pass covers every chunk of every cell.
-    """
-    lengths = list(map(len, masks))
-    stored = isinstance(blocks, np.ndarray)
-    if lengths != ([blocks.shape[1]] * len(blocks) if stored else list(map(len, blocks))):
+def tags_from_masks(alpha: int, masks, blocks, fld: Field):
+    """mask + alpha * block for each cell: the tag formula, on (cells, c)
+    arrays of stored words.  In Z_p one flat pass covers every chunk of
+    every cell."""
+    if masks.shape != blocks.shape:
         raise ParameterError("each cell's mask and block must have the same chunk count")
     if isinstance(fld, BinaryField):
-        return [fld.vec_add(m, fld.vec_scale(alpha, b)) for m, b in zip(masks, blocks)]
+        return fld.vec_add(masks, fld.vec_scale(alpha, blocks))
     p = fld.order
-    flat = blocks.ravel().tolist() if stored else chain.from_iterable(blocks)
-    pairs = zip(chain.from_iterable(masks), flat)
+    pairs = zip(masks.ravel().tolist(), blocks.ravel().tolist())
     # A generator, so that no list of a whole column's tags is held.
     tags = ((x + alpha * y) % p for x, y in pairs)
-    return [tuple(islice(tags, c)) for c in lengths]
+    return np.fromiter(tags, fld.stored_dtype, masks.size).reshape(masks.shape)
 
 
 def tag_block(sk: SecretKey, block, ctx: TagContext, fld: Field):
     """Tag every chunk of a block at the given position."""
-    masks = prf_vector(sk.kprf, ctx, len(block), fld)
-    return tags_from_masks(sk.alpha, [masks], [block], fld)[0]
+    c = len(block)
+    masks = fld.vectors_to_words([prf_vector(sk.kprf, ctx, c, fld)], c)
+    tags = tags_from_masks(sk.alpha, masks, fld.vectors_to_words([block], c), fld)
+    return fld.vectors_from_words(tags)[0]
 
 
 def verify_block(sk: SecretKey, block, tag, ctx: TagContext, fld: Field) -> bool:
     """Check a (block, tag) pair against its expected position."""
     if len(block) != len(tag):
         raise ParameterError("block and tag must have the same chunk count")
-    masks = prf_vector_cached(sk.kprf, ctx, len(block), fld)
-    return fld.vec_eq(tag, tags_from_masks(sk.alpha, [masks], [block], fld)[0])
+    c = len(block)
+    words = fld.vectors_to_words([block, tag], c)
+    masks = prf_vector_cached(sk.kprf, ctx, c, fld)
+    return bool((words[1:] == tags_from_masks(sk.alpha, masks[None], words[:1], fld)).all())
 
 
-def tag_deltas(alpha: int, old_masks, new_masks, delta_blocks, fld: Field) -> list:
-    """(new mask - old mask) + alpha * delta block for each parity slot.
+def tag_deltas(alpha: int, old_masks, new_masks, delta_blocks, fld: Field):
+    """(new mask - old mask) + alpha * delta block for each parity slot, on
+    (slots, c) arrays of stored words.
 
     In Z_p one flat pass covers every chunk of every slot, as in
     tags_from_masks.
     """
-    lengths = list(map(len, new_masks))
-    if list(map(len, old_masks)) != lengths:
-        raise ParameterError("old and new masks must cover the same cells")
+    if not old_masks.shape == new_masks.shape == delta_blocks.shape:
+        raise ParameterError("old and new masks and delta blocks must cover the same cells")
     if isinstance(fld, BinaryField):
-        moved = [fld.vec_sub(new, old) for old, new in zip(old_masks, new_masks)]
-        return tags_from_masks(alpha, moved, delta_blocks, fld)
-    if list(map(len, delta_blocks)) != lengths:
-        raise ParameterError("each cell's mask and block must have the same chunk count")
+        return tags_from_masks(alpha, fld.vec_sub(new_masks, old_masks), delta_blocks, fld)
     p = fld.order
-    flat = zip(*map(chain.from_iterable, (new_masks, old_masks, delta_blocks)))
+    flat = zip(*(a.ravel().tolist() for a in (new_masks, old_masks, delta_blocks)))
     deltas = ((x - y + alpha * d) % p for x, y, d in flat)
-    return [tuple(islice(deltas, c)) for c in lengths]
+    return np.fromiter(deltas, fld.stored_dtype, new_masks.size).reshape(new_masks.shape)
 
 
 def tag_delta(
@@ -305,9 +302,11 @@ def tag_delta(
     """
     if ctx_old.fid != ctx_new.fid or ctx_old.server != ctx_new.server:
         raise ParameterError("tag delta must stay within one file and server")
+    c = len(delta_block)
     cells = [(ctx_old.row, ctx_old.ctr), (ctx_new.row, ctx_new.ctr)]
-    old, new = prf_masks(sk.kprf, ctx_old.fid, ctx_old.server, cells, len(delta_block), fld)
-    return tag_deltas(sk.alpha, [old], [new], [delta_block], fld)[0]
+    masks = prf_masks(sk.kprf, ctx_old.fid, ctx_old.server, cells, c, fld)
+    delta = fld.vectors_to_words([delta_block], c)
+    return fld.vectors_from_words(tag_deltas(sk.alpha, masks[:1], masks[1:], delta, fld))[0]
 
 
 # -- keyfile persistence -------------------------------------------------

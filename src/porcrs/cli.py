@@ -21,6 +21,8 @@ import statistics
 import sys
 import time
 
+import numpy as np
+
 from . import client, fanout, harness, store
 from .auth import read_keyfile, write_keyfile, keygen, clear_prf_cache, prf_masks
 from .server import apply_append, prove
@@ -120,9 +122,8 @@ def _holds_order(state, order) -> bool:
     order's target and its newest data row is the order's cell."""
     if state.ctr != order.target_ctr:
         return False
-    fld = state.field
-    block, tag = state.cells[state.ktilde - 1]
-    return fld.vec_eq(block, order.new_block) and fld.vec_eq(tag, order.new_tag)
+    held = state.cells.gather([state.ktilde - 1])[0]
+    return np.array_equal(held, [order.new_block, order.new_tag])
 
 
 def _mismatch(state, allowed: dict) -> str:
@@ -143,9 +144,10 @@ def _stage(order, path):
     The share is read whole, with room for the new row, and every word is
     checked in one pass.  The parity rows take their deltas as stored
     words, the rows before them are written back as they were stored, and
-    no cell is decoded but the newest data row, only when the share's
-    counter says it may already hold the order.  So the decoding costs the
-    same at any file height; reading and copying the share does not.
+    no cell is decoded: when the share's counter says it may already hold
+    the order, the newest data row's words are compared with the order's.
+    So that work costs the same at any file height; reading and copying
+    the share does not.
     """
     j = order.server
     try:

@@ -8,34 +8,35 @@ gets a homomorphic tag.  Server j stores column j.
 
 Data rows are tagged at counter 0 and parity rows at the append counter,
 which starts at 1, so no data cell and parity cell ever share a PRF input.
-Appends add one grid row: the client row-encodes the k new blocks, tags
-them at counter 0, and ships each server its new cell plus one tag delta
-per parity slot; servers update their own parity blocks, so nothing is
-downloaded.  A delta needs each parity slot's PRF mask at its old and at
-its new (row, counter).  The old contexts are the new ones of the append
-before, so the metadata object carries each server's masks of the new
-data cell and of its new parity contexts (rows ktilde..r), never
-persisted: an in-memory append after the first asks the PRF for
-1 + stilde cells per server, while one on freshly read metadata (each
-``porcrs append`` process) asks for 1 + 2 stilde.  Audits challenge l
-random rows with random coefficients and check the servers' aggregates
-against the PRF masks of the challenged cells; parity rows are checked
-at the current append counter, which is what makes stale (pre-append)
-parity detectable.  An audit takes the masks of rows ktilde..r from the
-carry and asks the PRF mask cache for the others, so an audit right
-after an in-memory append computes no mask of the newest row or of any
-parity row; a ``porcrs audit`` process reads fresh metadata and has no
-carry.  The carry reissues no tag context and changes no verdict; it only
-skips recomputing masks.  Each server's PRF work is independent of the
-others', so outsource, redistribute's re-tagging and append share the
-servers between forked processes when the call has enough PRF chunks and
-the process may use more than one CPU (``fanout.map_servers``): each
-child sends back one server at a time, as stored words (a column's tags,
-or an append's carried masks, new tag and tag deltas), and the bytes are
-those of a run in one process.  When a server fails too often, the client
-pulls every share, turns tag mismatches into erasures, and runs row-wise
-and column-wise erasure decoding to a fixpoint before re-encoding and
-re-sharing.
+Blocks, tags, masks, append orders and audit proofs are arrays of stored
+words.  Appends add one grid row: the client screens and row-encodes the
+k new blocks, tags them at counter 0, and ships each server its new cell
+plus one tag delta per parity slot; servers update their own parity
+blocks, so nothing is downloaded.  A delta needs each parity slot's PRF
+mask at its old and at its new (row, counter).  The old contexts are the
+new ones of the append before, so the metadata object carries each
+server's masks of the new data cell and of its new parity contexts (rows
+ktilde..r), never persisted: an in-memory append after the first asks
+the PRF for 1 + stilde cells per server, while one on freshly read
+metadata (each ``porcrs append`` process) asks for 1 + 2 stilde.  Audits
+challenge l random rows with random coefficients and check the servers'
+aggregates against the PRF masks of the challenged cells; parity rows are
+checked at the current append counter, which is what makes stale
+(pre-append) parity detectable.  An audit takes the masks of rows
+ktilde..r from the carry and asks the PRF mask cache for the others, so
+an audit right after an in-memory append computes no mask of the newest
+row or of any parity row; a ``porcrs audit`` process reads fresh
+metadata and has no carry.  The carry reissues no tag context and
+changes no verdict; it only skips recomputing masks.  Each server's PRF
+work is independent of the others', so outsource, redistribute's
+re-tagging and append share the servers between forked processes when
+the call has enough PRF chunks and the process may use more than one CPU
+(``fanout.map_servers``): each child sends back one server at a time, as
+stored words (a column's tags, or an append's order and carried masks),
+and the bytes are those of a run in one process.  When a server fails
+too often, the client pulls every share, turns tag mismatches into
+erasures, and runs row-wise and column-wise erasure decoding, on chunk
+vectors, to a fixpoint before re-encoding and re-sharing.
 """
 
 from __future__ import annotations
@@ -105,10 +106,10 @@ class FileMetadata:
     eps_p: float
     window: int
     audit_history: dict = dc_field(default_factory=dict)
-    # (key, masks) left by the last append: masks[j - 1][t] is server j's
-    # mask of row ktilde + t at its current counter, for rows ktilde..r (the
-    # newest data row, then the parity rows), as read-only arrays in
-    # GF(2^w); key is what they depend on.  append and verify read it.
+    # (key, masks) left by the last append: masks[j - 1] is server j's
+    # read-only (1 + stilde, c) array of stored words, row t its mask of row
+    # ktilde + t at its current counter (the newest data row, then the
+    # parity rows); key is what they depend on.  append and verify read it.
     parity_masks: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     @property
@@ -136,7 +137,8 @@ class ChallengeSet:
 
 @dataclass(frozen=True)
 class AppendOrder:
-    """What one server receives for one append."""
+    """What one server receives for one append; from client.append, each
+    row is a read-only view into one (2 + stilde, c) array of stored words."""
 
     fid: bytes
     server: int
@@ -254,8 +256,7 @@ def _tag_columns(sk: SecretKey, fld: Field, fid: bytes, columns, ktilde: int, pa
 
     def tag_words(j: int):
         masks = auth.prf_masks(sk.kprf, fid, j, cells, c, fld)
-        tags = auth.tags_from_masks(sk.alpha, masks, columns[j - 1].words[:r, 0], fld)
-        return fld.vectors_to_words(tags, c)
+        return auth.tags_from_masks(sk.alpha, masks, columns[j - 1].words[:r, 0], fld)
 
     with closing(fanout.map_servers(tag_words, n, n * r * c)) as results:
         for column, tags in zip(columns, results):
@@ -315,14 +316,15 @@ def make_server_states(meta: FileMetadata, shares) -> list[ServerState]:
 
 
 def row_blocks_from_payload(meta: FileMetadata, data: bytes):
-    """One append row (k blocks) from raw payload bytes."""
+    """One append row from raw payload bytes: the k blocks' stored words,
+    as a (k, chunks) array."""
     fld = meta.field
     payload = block_payload_size(fld, meta.chunks)
     if len(data) != payload * meta.k:
         raise ParameterError(
             f"append row must be exactly {payload * meta.k} bytes, got {len(data)}"
         )
-    return fld.vectors_from_words(fld.payload_words(data).reshape(-1, meta.chunks))
+    return fld.payload_words(data).reshape(-1, meta.chunks)
 
 
 def _mask_key(sk: SecretKey, meta: FileMetadata, ktilde: int, ctr: int) -> tuple:
@@ -343,18 +345,20 @@ def _carried_masks(sk: SecretKey, meta: FileMetadata) -> tuple | None:
 def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
     """Append one row of k data blocks; returns one order per server.
 
-    Mutates the metadata (ktilde and ctr advance).  The client computes the
-    new cells and the parity-slot tag deltas from the new row alone --
+    Mutates the metadata (ktilde and ctr advance) once the row has passed
+    its screening: k blocks of chunks elements each.  The client computes
+    the new cells and the parity-slot tag deltas from the new row alone --
     nothing is fetched from the servers.  The parity masks the previous
     append left on this metadata under this key stand in for the old ones;
     any other metadata or key recomputes them.
     """
     fld = meta.field
-    if len(row_blocks) != meta.k:
-        raise ParameterError(f"append row needs exactly k = {meta.k} blocks")
-    for blk in row_blocks:
-        if len(blk) != meta.chunks:
-            raise ParameterError("append block has the wrong chunk count")
+    row = fld.as_words(row_blocks, meta.chunks)
+    if row is None or len(row) != meta.k:
+        raise ParameterError(
+            f"append row needs exactly k = {meta.k} blocks of {meta.chunks} "
+            f"elements of {fld.token}"
+        )
     if meta.r + 1 > fld.order:
         raise CapacityError("append would exceed field order")
     if meta.stilde and meta.ctr < 1:
@@ -364,11 +368,10 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
             "file has parity at counter 0; outsource it again under a fresh key"
         )
 
-    ktilde_old, ctr_old = meta.ktilde, meta.ctr
+    ktilde_old, ctr_old, stilde = meta.ktilde, meta.ctr, meta.stilde
     ktilde_new, ctr_new = ktilde_old + 1, ctr_old + 1
-    row_code = crs.row_code(meta.s, meta.k, fld)
-    encoded = row_code.encode_vectors(list(row_blocks))
-    col_ext = crs.canonical_matrix(meta.stilde, ktilde_new, fld)
+    encoded = np.concatenate([row, crs.row_code(meta.s, meta.k, fld).encode_words(row)])
+    col_ext = crs.canonical_matrix(stilde, ktilde_new, fld)
 
     # The carry is taken off the metadata first, so that a failure below
     # leaves none behind.
@@ -379,25 +382,23 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
 
     # Per server, one PRF batch: the new cell, then each parity slot at its
     # old (unless held) and at its new (row, counter).
-    slots = range(1, meta.stilde + 1)
+    slots = range(1, stilde + 1)
     cells = [(ktilde_new, 0)]
     if held is None:
         cells += [(ktilde_old + slot, ctr_old) for slot in slots]
     cells += [(ktilde_new + slot, ctr_new) for slot in slots]
 
     def order_words(j: int):
-        """Server j's masks of rows ktilde_new..r, new tag and tag deltas,
-        as one array of stored words."""
-        blk = encoded[j - 1]
-        cell_mask, *parity = auth.prf_masks(sk.kprf, meta.fid, j, cells, meta.chunks, fld)
-        if held is None:
-            old, new = parity[: meta.stilde], parity[meta.stilde :]
-        else:
-            # Server j's held masks: row ktilde_old, then the parity slots.
-            old, new = held[j - 1][1:], parity
-        new_tag = auth.tags_from_masks(sk.alpha, [cell_mask], [blk], fld)[0]
-        deltas = auth.tag_deltas(sk.alpha, old, new, col_ext.parity_delta(blk), fld)
-        return fld.vectors_to_words([cell_mask, *new, new_tag, *deltas], meta.chunks)
+        """Server j's order (new block, new tag, tag deltas), then its masks
+        of rows ktilde_new..r, as one array of stored words."""
+        block = encoded[j - 1 : j]
+        masks = auth.prf_masks(sk.kprf, meta.fid, j, cells, meta.chunks, fld)
+        # Server j's held masks: row ktilde_old, then the parity slots.
+        old = masks[1 : 1 + stilde] if held is None else held[j - 1][1:]
+        new = masks[len(cells) - stilde :]
+        new_tag = auth.tags_from_masks(sk.alpha, masks[:1], block, fld)
+        deltas = auth.tag_deltas(sk.alpha, old, new, col_ext.parity_delta(block[0]), fld)
+        return np.concatenate([block, new_tag, deltas, masks[:1], new])
 
     orders, carried = [], []
     chunks = meta.n * len(cells) * meta.chunks
@@ -405,13 +406,10 @@ def append(sk: SecretKey, meta: FileMetadata, row_blocks) -> list[AppendOrder]:
         for j, words in enumerate(results, 1):
             if held is not None:
                 held[j - 1] = None
-            # The new data cell's mask gets an array of its own, since the
-            # PRF cache may keep it after the carry is gone.
-            cell_mask, = fld.vectors_from_words(words[:1])
-            new = fld.vectors_from_words(words[1 : 1 + meta.stilde])
-            new_tag, *deltas = fld.vectors_from_words(words[1 + meta.stilde :])
-            orders.append(AppendOrder(meta.fid, j, ctr_new, encoded[j - 1], new_tag, tuple(deltas)))
-            carried.append(auth.read_only([cell_mask, *new]))
+            words.flags.writeable = False  # shared by the order, the carry and verify
+            new_block, new_tag, *deltas = words[: 2 + stilde]
+            orders.append(AppendOrder(meta.fid, j, ctr_new, new_block, new_tag, tuple(deltas)))
+            carried.append(words[2 + stilde :])
     meta.ktilde, meta.ctr, meta.parity_masks = (
         ktilde_new, ctr_new, (_mask_key(sk, meta, ktilde_new, ctr_new), tuple(carried))
     )
@@ -441,7 +439,9 @@ def verify(sk: SecretKey, meta: FileMetadata, q: ChallengeSet, proof) -> list[bo
     The masks of rows ktilde..r that the last append left on this metadata
     under this key go to auth.prf_masks_cached as held masks, so that only
     the other rows can reach the PRF kernel, and the newest data row's mask
-    joins the cache as a computed one would.
+    joins the cache as a computed one would.  A pair is screened as an
+    order is; one combination of the masks and mu (alpha its coefficient)
+    must give sigma's words.
     """
     fld = meta.field
     c = meta.chunks
@@ -450,7 +450,7 @@ def verify(sk: SecretKey, meta: FileMetadata, q: ChallengeSet, proof) -> list[bo
     for i, _ in q.entries:
         if not 1 <= i <= meta.r:
             raise ParameterError(f"challenged row {i} out of range")
-    coeffs = [nu for _, nu in q.entries]
+    coeffs = [nu for _, nu in q.entries] + [sk.alpha]
     cells = [(i, cell_ctr(meta.ktilde, meta.ctr, i)) for i, _ in q.entries]
     carried = _carried_masks(sk, meta)
     # (challenge entry, carry slot) of each challenged row the carry holds.
@@ -463,18 +463,14 @@ def verify(sk: SecretKey, meta: FileMetadata, q: ChallengeSet, proof) -> list[bo
             mu, sigma = proof[j - 1]
         except (TypeError, ValueError):
             mu = sigma = None  # missing (None), or not a pair
-        # Anything but two vectors of c field elements fails this server only.
-        pair = fld.as_vectors([mu, sigma], c)
+        # Anything but two rows of c field elements fails this server only.
+        pair = fld.as_words([mu, sigma], c)
         ok = pair is not None
         if ok:
-            mu, sigma = pair
             held = {t: carried[j - 1][slot] for t, slot in lifted}
             masks = auth.prf_masks_cached(sk.kprf, meta.fid, j, cells, c, fld, held)
-            expected = fld.vec_add(
-                fld.vec_combine(coeffs, fld.vec_stack(masks)),
-                fld.vec_scale(sk.alpha, mu),
-            )
-            ok = fld.vec_eq(sigma, expected)
+            expected = fld.vec_combine(coeffs, np.concatenate([masks, pair[:1]]))
+            ok = np.array_equal(pair[1], np.asarray(expected, fld.stored_dtype))
         verdicts.append(ok)
         meta.history(j).append(ok)
     return verdicts

@@ -263,18 +263,19 @@ class DistributionMatrix:
             self._packed = packed
         return packed
 
-    def parity_delta(self, new_vec) -> list:
-        """Parity adjustment when the last column's chunk vector arrives.
+    def parity_delta(self, new_words):
+        """Parity adjustment when the last column's words arrive, as an
+        (s, len(new_words)) array of stored words.
 
-        Adding delta[i] to the i-th parity vector of the shorter code's
-        codeword yields the parity of the extended codeword.  The last
-        column is computed once per matrix, with one batch inversion.
+        Adding row i to the i-th parity row of the shorter code's codeword
+        yields the parity of the extended codeword.  The last column is
+        computed once per matrix, with one batch inversion.
         """
         fld = self.field
         if self._last_col is None:
             y = self.sets.ys[-1]
             self._last_col = fld.inv_many([fld.sub(x, y) for x in self.sets.xs])
-        return fld.vec_scale_many(self._last_col, new_vec)
+        return fld.vec_scale_many(self._last_col, new_words)
 
     # -- erasure decoding ------------------------------------------------
 
@@ -344,7 +345,7 @@ class RecoveryPlan:
         out: list[list[tuple[int, int]]] = [[] for _ in range(k)]
         for j in self.have_sys:
             out[j] = [(j, 1)]
-        rows = fld.vec_stack(map(m.cauchy_row, self.parity_rows)) if self.erased else ()
+        rows = np.array([m.cauchy_row(i) for i in self.parity_rows], dtype=fld.stored_dtype)
         for j, weights in zip(self.erased, self.inv_sub):
             sums = fld.vec_to_ints(fld.vec_combine(weights, rows))  # sum_l w_l a_lj'
             terms = [(jp, fld.neg(sums[jp])) for jp in self.have_sys if sums[jp]]

@@ -1,15 +1,15 @@
 """Per-server client work spread over the CPUs this process may use.
 
 The client's PRF work is independent from server to server: the tags of
-each column at outsource and repair, and each server's new tag, tag
-deltas and carried masks at an append.  hashlib holds the GIL while it
-hashes a 40-byte input, so threads cannot share that work; map_servers
-forks instead.  It forks only when the process may run on more than one
-CPU (``os.sched_getaffinity``), the call has at least FORK_CHUNKS PRF
-chunks, and no other Python thread is alive (a fork copies only the
-calling thread, so a lock another thread holds would stay held in the
-child).  Otherwise, and when ``os.fork`` fails, the same per-server
-function runs here, server after server.
+each column at outsource and repair, and each server's order (new block,
+new tag and tag deltas) and carried masks at an append.  hashlib holds
+the GIL while it hashes a 40-byte input, so threads cannot share that
+work; map_servers forks instead.  It forks only when the process may
+run on more than one CPU (``os.sched_getaffinity``), the call has at
+least FORK_CHUNKS PRF chunks, and no other Python thread is alive (a
+fork copies only the calling thread, so a lock another thread holds
+would stay held in the child).  Otherwise, and when ``os.fork`` fails,
+the same per-server function runs here, server after server.
 
 Each child takes a contiguous share of the servers and the parent takes
 the first, the smallest, since it also reads the children's results.  A

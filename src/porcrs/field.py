@@ -9,14 +9,15 @@ Two field kinds are supported, selected by a compact token:
   reduction polynomials (x^8+x^4+x^3+x^2+1 and x^16+x^12+x^3+x+1) so that
   encoded artifacts are portable across implementations.
 
-Scalars are plain Python ints in canonical reduced form.  Bulk data (block
-and tag chunk vectors) moves through the ``vec_*`` methods: tuples of ints
-for prime fields, numpy arrays for binary fields.  Treat returned vectors
-as immutable.  Bytes become vectors, and vectors bytes, only by way of
-arrays of stored words, each element little-endian in ``element_size``
-bytes: ``payload_words`` and ``chunks_to_payload`` convert file payloads,
-``vectors_from_words`` and ``vectors_to_words`` convert vectors, and a
-share body is such an array.  Both binary widths multiply through one
+Scalars are plain Python ints in canonical reduced form.  Bulk data moves
+as arrays of stored words, each element little-endian in ``element_size``
+bytes, one row per block, tag or mask: share bodies, append orders, audit
+proofs and PRF masks.  ``payload_words`` and ``chunks_to_payload`` convert
+file payloads, and ``as_words`` screens words from outside.  The ``vec_*``
+methods also take chunk vectors (tuples of ints for prime fields, numpy
+arrays for binary fields; treat them as immutable), which
+``vectors_from_words`` and ``vectors_to_words`` convert, for the column
+view of a share and for repair.  Both binary widths multiply through one
 pair of log/antilog tables, zero included (see :class:`BinaryField`);
 tables are built once per process and never mutated, so field objects are
 safe to share across threads.
@@ -138,29 +139,47 @@ class Field:
         raise NotImplementedError
 
     def vec_scale_many(self, scalars, v):
-        """s * v for each scalar s, in order: a list of vectors, or in
-        GF(2^w) the rows of one 2-D array."""
-        return [self.vec_scale(s, v) for s in scalars]
+        """s * v for each scalar s, in order, as the rows of one
+        (len(scalars), len(v)) array of stored words; v is a sequence of
+        elements or a row of stored words."""
+        raise NotImplementedError
 
     def vec_combine(self, coeffs, vecs):
         """Sum of coeffs[i] * vecs[i]; vecs may also be a stacked 2-D array."""
         raise NotImplementedError
 
-    def vec_stack(self, vecs):
-        """Pack vectors for repeated vec_combine calls over the same rows."""
-        return list(vecs)
-
     def vec_eq(self, u, v) -> bool:
         raise NotImplementedError
 
-    def as_vectors(self, vecs, c: int):
-        """Each of vecs as a vector of c field elements, or None if any is
-        not one.
+    def as_words(self, vecs, c: int):
+        """vecs as one (len(vecs), c) array of stored words, or None unless
+        each of them is c elements of this field.
 
-        Screens vectors that arrive from outside: audit responses and
-        append orders.
+        Screens what arrives from outside: append rows and orders, audit
+        responses and cells stored in a column.  Each of vecs may be an
+        integer array (stored words, say) or a sequence of ints; floats,
+        bools, text, None and rows of any other length are not elements.
         """
-        raise NotImplementedError
+        rows = []
+        try:
+            for v in vecs:
+                if not isinstance(v, np.ndarray):
+                    v = list(v)
+                    if {bool, np.bool_} & set(map(type, v)):
+                        return None
+                    v = np.array(v)
+                if v.shape != (c,) or v.dtype.kind not in "iu":
+                    return None
+                if v.dtype != self.stored_dtype:
+                    if v.min() < 0 or v.max() >= self.order:
+                        return None
+                    v = v.astype(self.stored_dtype)
+                rows.append(v)
+            words = np.array(rows, dtype=self.stored_dtype).reshape(len(rows), c)
+            self.check_words(words)  # a stored word of Z_p may be p or more
+        except (TypeError, ValueError, FieldMismatchError):
+            return None
+        return words
 
     def vec_from_ints(self, values):
         raise NotImplementedError
@@ -280,6 +299,13 @@ class PrimeField(Field):
         p = self.modulus
         return tuple([s * a % p for a in v])
 
+    def vec_scale_many(self, scalars, v):
+        p = self.modulus
+        v = list(map(int, v))  # Python ints: a product needs more than 64 bits
+        products = (s * a % p for s in scalars for a in v)
+        shape = (len(scalars), len(v))
+        return np.fromiter(products, self.stored_dtype, shape[0] * shape[1]).reshape(shape)
+
     def vec_combine(self, coeffs, vecs):
         if len(coeffs) != len(vecs):
             raise ParameterError("one coefficient per vector required")
@@ -302,17 +328,6 @@ class PrimeField(Field):
 
     def vec_eq(self, u, v):
         return tuple(u) == tuple(v)
-
-    def as_vectors(self, vecs, c):
-        """One flat pass over every element of every vector."""
-        try:
-            vecs = list(map(tuple, vecs))
-        except TypeError:
-            return None
-        flat = list(itertools.chain.from_iterable(vecs))
-        if set(map(len, vecs)) != {c} or set(map(type, flat)) != {int}:
-            return None
-        return vecs if 0 <= min(flat) and max(flat) < self.modulus else None
 
     def vec_from_ints(self, values):
         return tuple(self.check_element(int(x)) for x in values)
@@ -462,26 +477,8 @@ class BinaryField(Field):
         idx += np.take(self._log, coeffs)[:, None]  # in place: no second index array
         return np.bitwise_xor.reduce(np.take(self._exp, idx), axis=0)
 
-    def vec_stack(self, vecs):
-        return np.stack(list(vecs))
-
     def vec_eq(self, u, v):
         return len(u) == len(v) and bool(np.array_equal(u, v))
-
-    def as_vectors(self, vecs, c):
-        out = []
-        for v in vecs:
-            try:
-                a = np.asarray(v)
-            except (TypeError, ValueError):
-                return None
-            if a.shape != (c,) or a.dtype.kind not in "iu":
-                return None
-            # The field's own dtype holds nothing but elements.
-            if a.dtype != self.dtype and not (a.min() >= 0 and a.max() < self.order):
-                return None
-            out.append(a.astype(self.dtype, copy=False))
-        return out
 
     def vec_from_ints(self, values):
         arr = np.array([self.check_element(int(x)) for x in values], dtype=self.dtype)

@@ -1,15 +1,17 @@
 """Per-server state machine.
 
-A server holds one column of the share grid: r cells, each a (block, tag)
-pair of chunk vectors.  In memory the column has the share file's body
-layout (``Column``): one array of stored words, row i0 holding cell
-i0 + 1's c block words and then its c tag words, data rows first and the
-stilde parity rows after them.  The server answers audits with linear
-aggregates over the challenged rows, gathered by index; it extends its
-own column code to absorb appends, recomputing the new parity
-contributions locally in O(stilde) rows, so an append never changes a
-data cell; and it serves reads and full dumps.  Servers never see key
-material; tag updates arrive as opaque deltas from the client.
+A server holds one column of the share grid: r cells, each a block and
+its tag.  In memory the column has the share file's body layout
+(``Column``): one array of stored words, row i0 holding cell i0 + 1's c
+block words and then its c tag words, data rows first and the stilde
+parity rows after them.  The server answers audits with linear
+aggregates over the challenged rows, gathered by index, as stored words;
+it screens each append order once and extends its own column code to
+absorb it, recomputing the new parity contributions on stored words in
+O(stilde) rows, so an append never changes a data cell; and it serves
+reads and full dumps, whose cells read as (block, tag) vector pairs.
+Servers never see key material; tag updates arrive as opaque deltas
+from the client.
 """
 
 from __future__ import annotations
@@ -170,8 +172,9 @@ class Column(Sequence):
         eq = self.field.vec_eq
         return len(a) == len(b) == 2 and eq(a[0], b[0]) and eq(a[1], b[1])
 
-    def insert(self, index: int, cell, added=None) -> None:
-        """Put cell at row index + 1, moving the rows from there down one.
+    def insert(self, index: int, words, added=None) -> None:
+        """Put the cell whose stored words are words, a (2, chunks) array of
+        elements, at row index + 1, moving the rows from there down one.
 
         With added, the stored words of as many rows as move, each moving
         row takes those words added to its own, field element by element;
@@ -189,7 +192,7 @@ class Column(Sequence):
         self.words[i0 + 1 : n + 1] = moved
         self._state[i0 + 1 : n + 1] = self._state[i0:n]
         self._len = n + 1
-        self.words[i0], self._state[i0] = self._encode(cell)
+        self.words[i0], self._state[i0] = words, _CELL
 
     def gather(self, rows):
         """Stored words of the given 0-based rows, as an (len(rows), 2,
@@ -245,12 +248,11 @@ class Column(Sequence):
             block, tag = cell
         except (TypeError, ValueError):
             raise ParameterError("a cell is a (block, tag) pair or None") from None
-        fld, c = self.field, self.chunks
-        vecs = fld.as_vectors([block, tag], c)
-        if vecs is None:
+        words = self.field.as_words([block, tag], self.chunks)
+        if words is None:
             self._plain = False
             return 0, _MISSHAPEN
-        return fld.vectors_to_words(vecs, c), _CELL
+        return words, _CELL
 
     def _own(self, rows: int) -> None:
         """Make the arrays this column's alone, with room for rows cells;
@@ -331,7 +333,8 @@ def store_share(
 
 
 def prove(state: ServerState, challenge) -> tuple:
-    """Aggregate response (mu, sigma) to a challenge set.
+    """Aggregate response (mu, sigma) to a challenge set, each c stored
+    words.
 
     Cells wiped from under the server contribute zeros: without the key it
     cannot fabricate matching tags, so the response simply fails
@@ -346,7 +349,7 @@ def prove(state: ServerState, challenge) -> tuple:
     coeffs = [nu for _, nu in challenge.entries]
     words = state.cells.gather(np.array(rows, dtype=np.intp) - 1)
     # One combine of whole rows: each row's block words, then its tag words.
-    both = fld.vec_combine(coeffs, words.reshape(len(rows), -1))
+    both = np.asarray(fld.vec_combine(coeffs, words.reshape(len(rows), -1)), fld.stored_dtype)
     return both[: state.chunks], both[state.chunks :]
 
 
@@ -371,13 +374,12 @@ def apply_append(state: ServerState, order) -> None:
         raise OrderRejectedError(
             f"{len(order.deltas)} tag deltas for {state.stilde} parity slots"
         )
-    # Every vector is screened before any cell changes, and stored as screened.
-    vecs = fld.as_vectors([order.new_block, order.new_tag, *order.deltas], state.chunks)
-    if vecs is None:
+    # Every row is screened before any cell changes, and stored as screened.
+    words = fld.as_words([order.new_block, order.new_tag, *order.deltas], state.chunks)
+    if words is None:
         raise OrderRejectedError(
             f"append order holds a vector that is not {state.chunks} elements of {fld.token}"
         )
-    new_block, new_tag, *tag_deltas = vecs
     if state.r + 1 > fld.order:
         raise CapacityError("append would exceed field order")
 
@@ -385,11 +387,9 @@ def apply_append(state: ServerState, order) -> None:
     added = None
     if state.stilde:
         extended = crs.canonical_matrix(state.stilde, ktilde_new, fld)
-        pairs = zip(extended.parity_delta(new_block), tag_deltas)
-        added = fld.vectors_to_words([v for pair in pairs for v in pair], state.chunks)
-        added = added.reshape(state.stilde, 2, state.chunks)
+        added = np.stack([extended.parity_delta(words[0]), words[2:]], axis=1)
     # The parity rows take their deltas as they move down one row.
-    state.cells.insert(state.ktilde, (new_block, new_tag), added)
+    state.cells.insert(state.ktilde, words[:2], added)
     state.ktilde = ktilde_new
     state.ctr += 1
 

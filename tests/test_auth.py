@@ -5,6 +5,7 @@ import os
 import random
 import stat
 
+import numpy as np
 import pytest
 
 from porcrs import auth
@@ -142,20 +143,25 @@ def test_length_mismatch_raises():
         verify_block(sk, (1, 2), (1,), TagContext(FID, 1, 1, 0), M61)
 
 
+def rand_words(fld, cells, c, rng):
+    """A (cells, c) array of stored words of random elements."""
+    rows = [[fld.rand_element(rng) for _ in range(c)] for _ in range(cells)]
+    return np.array(rows, dtype=fld.stored_dtype).reshape(cells, c)
+
+
 @pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
 def test_tags_from_masks_checks_each_cell(fld):
     rng = random.Random(30)
-    masks = [rand_block(fld, c, rng) for c in (2, 1, 3)]
-    blocks = [rand_block(fld, c, rng) for c in (2, 1, 3)]
+    masks, blocks = rand_words(fld, 3, 2, rng), rand_words(fld, 3, 2, rng)
+    masks[0] = blocks[0] = fld.order - 1  # the largest sums and products
     alpha = fld.rand_nonzero(rng)
     tags = auth.tags_from_masks(alpha, masks, blocks, fld)
-    for m, b, t in zip(masks, blocks, tags):
-        expected = [fld.add(x, fld.mul(alpha, y)) for x, y in zip(m, b)]
-        assert fld.vec_eq(t, fld.vec_from_ints(expected))
-    # Six chunks on each side, but the first two cells disagree.
-    swapped = [blocks[1], blocks[0], blocks[2]]
+    assert tags.shape == (3, 2) and tags.dtype == fld.stored_dtype
+    for m, b, t in zip(masks.tolist(), blocks.tolist(), tags.tolist()):
+        assert t == [fld.add(x, fld.mul(alpha, y)) for x, y in zip(m, b)]
+    # Six chunks on each side, but the cells disagree.
     with pytest.raises(ParameterError):
-        auth.tags_from_masks(alpha, masks, swapped, fld)
+        auth.tags_from_masks(alpha, masks, blocks.reshape(2, 3), fld)
     with pytest.raises(ParameterError):  # one cell short
         auth.tags_from_masks(alpha, masks, blocks[:2], fld)
 
@@ -163,10 +169,13 @@ def test_tags_from_masks_checks_each_cell(fld):
 @pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
 def test_tag_deltas_check_shapes(fld):
     rng = random.Random(31)
-    old, new, delta = ([rand_block(fld, 2, rng) for _ in range(3)] for _ in range(3))
+    old, new, delta = (rand_words(fld, 3, 2, rng) for _ in range(3))
     alpha = fld.rand_nonzero(rng)
-    assert len(auth.tag_deltas(alpha, old, new, delta, fld)) == 3
-    short_mask = [*new[:2], rand_block(fld, 1, rng)]
+    got = auth.tag_deltas(alpha, old, new, delta, fld)
+    assert got.shape == (3, 2) and got.dtype == fld.stored_dtype
+    for x, y, d, t in zip(*(a.ravel().tolist() for a in (new, old, delta, got))):
+        assert t == fld.add(fld.sub(x, y), fld.mul(alpha, d))
+    short_mask = new[:, :1]
     for args in [(old[:2], new, delta), (old, new, delta[:2]), (old, short_mask, delta)]:
         with pytest.raises(ParameterError):
             auth.tag_deltas(alpha, *args, fld)
@@ -449,7 +458,8 @@ def test_prf_masks_match_per_cell_vectors(fld):
             for (row, ctr), vec in zip(cells, masks):
                 one = prf_vector(KEY, TagContext(FID, row, server, ctr), count, fld)
                 assert fld.vec_to_ints(vec) == fld.vec_to_ints(one)
-    assert auth.prf_masks(KEY, FID, 1, [], 4, fld) == []
+    empty = auth.prf_masks(KEY, FID, 1, [], 4, fld)
+    assert empty.shape == (0, 4) and empty.dtype == fld.stored_dtype
 
 
 @pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
@@ -477,21 +487,24 @@ def test_prf_masks_match_per_cell_blake2b(fld):
 
 
 @pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
-def test_prf_masks_cached_matches_kernel(fld):
+def test_prf_masks_cached_matches_kernel(fld, monkeypatch):
     # Counter-0 cells are looked up and stored; any other cell is computed
     # in the same kernel call as the misses and never stored.
     auth.clear_prf_cache()
     cells = [(3, 0), (9, 2), (4, 1), (5, 0)]
     first = auth.prf_masks_cached(KEY, FID, 2, cells[:2], 4, fld)
-    both = auth.prf_masks_cached(KEY, FID, 2, cells, 4, fld)
     fresh = auth.prf_masks(KEY, FID, 2, cells, 4, fld)
-    assert both[0] is first[0]  # a hit returns the cached vector
-    assert both[1] is not first[1]  # counter 2 was computed again
+    asked = []
+    kernel = auth.prf_masks
+    monkeypatch.setattr(
+        auth, "prf_masks", lambda *args: asked.append(list(args[3])) or kernel(*args)
+    )
+    both = auth.prf_masks_cached(KEY, FID, 2, cells, 4, fld)
+    assert asked == [cells[1:]]  # a hit is not computed; counter 2 is, again
     assert sorted(key[2] for key in auth._PRF_CACHE) == [3, 5]
-    for (_, ctr), got, want in zip(cells, both, fresh):
-        assert fld.vec_eq(got, want)
-        if fld is GF16 and ctr == 0:
-            assert not got.flags.writeable
+    assert np.array_equal(first, fresh[:2]) and np.array_equal(both, fresh)
+    assert both.dtype == fld.stored_dtype
+    assert not both.flags.writeable  # the cache may share the words
 
 
 @pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
@@ -509,11 +522,10 @@ def test_prf_masks_cached_takes_held_masks(fld, monkeypatch):
     )
     got = auth.prf_masks_cached(KEY, FID, 2, cells, 4, fld, held)
     assert asked == [cells[2:]]
-    assert got[0] is fresh[0] and got[1] is fresh[1]
-    assert all(fld.vec_eq(a, b) for a, b in zip(got, fresh))
+    assert np.array_equal(got, fresh)
     assert sorted(key[2] for key in auth._PRF_CACHE) == [3, 5]
     asked.clear()
-    assert auth.prf_masks_cached(KEY, FID, 2, [cells[0]], 4, fld)[0] is fresh[0]
+    assert np.array_equal(auth.prf_masks_cached(KEY, FID, 2, [cells[0]], 4, fld)[0], fresh[0])
     assert asked == []
 
 

@@ -1,8 +1,10 @@
 """Client protocol: outsourcing oracle, appends, audits, redistribution."""
 
 import dataclasses
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -585,7 +587,7 @@ def test_appended_row_and_old_parity_never_share_a_prf_input():
 
     def recovered_alpha(old_cell, new_block, new_tag):
         (m_old,), (s_old,) = old_cell
-        (m_new,), (s_new,) = new_block, new_tag
+        (m_new,), (s_new,) = M61.vec_to_ints(new_block), M61.vec_to_ints(new_tag)
         return (s_new - s_old) * M61.inv((m_new - m_old) % P) % P
 
     for j0, order in enumerate(orders):
@@ -607,6 +609,36 @@ def test_append_refuses_parity_at_counter_zero():
     meta.ctr = 0
     with pytest.raises(ParameterError):
         client.append(sk, meta, client.row_blocks_from_payload(meta, rng.randbytes(21)))
+
+
+@pytest.mark.parametrize(
+    "token, word",
+    [("zp", P), ("zp", -1), ("gf2:8", 256), ("gf2:8", -1)],
+    ids=["zp-p", "zp-negative", "gf2:8-256", "gf2:8-negative"],
+)
+def test_append_rejects_a_row_of_non_elements(token, word):
+    # The row is screened before the metadata moves: client and servers
+    # stay in step, and the next good append goes through.
+    fld = M61 if token == "zp" else binary_field(8)
+    rng = random.Random(23)
+    sk, params = setup(fld, 5, 3, 2, block_size=8, rng=rng)
+    meta, shares = outsource(sk, params, rng.randbytes(60), rng=rng)
+    servers = client.make_server_states(meta, shares)
+    for state, order in zip(servers, client.append(sk, meta, next_row(meta, rng))):
+        server.apply_append(state, order)
+    before = (meta.ktilde, meta.ctr, meta.original_length, meta.parity_masks)
+    good = next_row(meta, rng)
+    row = good.tolist()
+    row[1][-1] = word
+    for bad in (row, [list(good[0]), *row[1:]]):
+        with pytest.raises(ParameterError, match="elements of"):
+            client.append(sk, meta, bad)
+        assert (meta.ktilde, meta.ctr, meta.original_length) == before[:3]
+        assert meta.parity_masks is before[3]
+    for state, order in zip(servers, client.append(sk, meta, good)):
+        server.apply_append(state, order)
+    q = challenge(meta, meta.r, rng)
+    assert all(verify(sk, meta, q, [server.prove(state, q) for state in servers]))
 
 
 def test_append_after_partial_last_row_keeps_the_padding():
@@ -906,13 +938,34 @@ def test_verify_ignores_a_carry_under_another_key(tmp_path, monkeypatch):
         assert verdicts[0] == verdicts[1] == [False] + [True] * (case.n - 1), name
 
 
-@pytest.mark.parametrize("token", ["gf2:8", "gf2:16"])
+@pytest.mark.parametrize("token", sorted(FIELDS))
 def test_carried_masks_are_read_only(token):
     # append and verify share the carried arrays, and so may the PRF cache.
     rng = random.Random(44)
     _, meta, _, _ = appended_servers(FIELDS[token], rng, appends=2)
     _, carried = meta.parity_masks
-    assert len(carried) == meta.n and {len(masks) for masks in carried} == {1 + meta.stilde}
+    assert len(carried) == meta.n and {masks.shape for masks in carried} == {
+        (1 + meta.stilde, meta.chunks)
+    }
     for vec in (vec for masks in carried for vec in masks):
         with pytest.raises(ValueError):
             vec[0] ^= 1
+
+
+@pytest.mark.parametrize("token", sorted(FIELDS))
+def test_cached_masks_keep_no_append_array_alive(token):
+    # An audit stores the carried mask of the newest data row in the PRF
+    # cache; the cache must keep its own copy, not a view that pins the
+    # append's whole array once the carry and the orders are gone.
+    rng = random.Random(45)
+    auth.clear_prf_cache()
+    sk, meta, servers, _ = appended_servers(FIELDS[token], rng, appends=1)
+    _, carried = meta.parity_masks
+    arrays = [weakref.ref(masks.base) for masks in carried]
+    q = client.ChallengeSet(0, ((meta.ktilde, 1),))
+    assert all(verify(sk, meta, q, [server.prove(state, q) for state in servers]))
+    assert {key[2] for key in auth._PRF_CACHE} == {meta.ktilde}
+    del carried
+    meta.parity_masks = None
+    gc.collect()
+    assert [ref() for ref in arrays] == [None] * meta.n

@@ -165,12 +165,12 @@ def test_extend_capacity():
 
 def test_parity_delta_zero_symbol():
     m = build_distribution(EXAMPLE_SETS, Z11).extend(y=10)
-    assert m.parity_delta((0,)) == [(0,), (0,), (0,)]
+    assert m.parity_delta((0,)).tolist() == [[0], [0], [0]]
 
 
 def test_parity_delta_unit_symbol_is_new_column():
     m = build_distribution(EXAMPLE_SETS, Z11).extend(y=10)
-    assert m.parity_delta((1,)) == [(6,), (4,), (7,)]
+    assert m.parity_delta((1,)).tolist() == [[6], [4], [7]]
 
 
 def test_parity_delta_matches_reencode():

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from porcrs import client, crs, store
@@ -227,6 +228,83 @@ def test_apply_append_screens_every_vector(token, block_size):
     for vec in (block, tag):
         assert type(vec) is type(zero)
         assert getattr(vec, "dtype", None) == getattr(zero, "dtype", None)
+
+
+def bad_word_arrays(row, fld):
+    """Arrays that differ from a good row of stored words in dtype, shape
+    or one word, and hold no row of len(row) elements of fld."""
+    c = len(row)
+
+    def with_word(dtype, word):
+        out = np.array(row, dtype=dtype)
+        out[0] = word
+        return out
+
+    bad = {
+        "float64": np.array(row, dtype=np.float64),
+        "bool": np.array(row, dtype=bool),
+        "object": np.array(row, dtype=object),
+        "negative int64": with_word(np.int64, -1),
+        "shape (c, 1)": np.array(row).reshape(c, 1),
+        "shape (1, c)": np.array(row).reshape(1, c),
+        "shape (c + 1,)": np.append(row, row[:1]),
+        "uint64 of 2^63": with_word(np.uint64, 1 << 63),
+    }
+    if fld.kind == "prime":
+        bad["word p"] = with_word(fld.stored_dtype, fld.order)
+    else:
+        bad["uint16 of 256"] = with_word(np.uint16, 256)
+    return bad
+
+
+@pytest.mark.parametrize("token, block_size", [("zp:2305843009213693951", 7), ("gf2:8", 64)])
+def test_apply_append_screens_word_arrays(token, block_size):
+    fld = field_from_token(token)
+    rng = random.Random(12)
+    sk, params = client.setup(fld, 5, 3, 2, block_size=block_size, rng=rng)
+    row_bytes = 3 * block_size
+    meta, shares = client.outsource(sk, params, rng.randbytes(4 * row_bytes), rng=rng)
+    servers = client.make_server_states(meta, shares)
+    orders = client.append(sk, meta, client.row_blocks_from_payload(meta, rng.randbytes(row_bytes)))
+    state, order = servers[0], orders[0]
+    before = store.share_bytes(state)
+    for field_name in ("new_block", "new_tag", "deltas"):
+        good = order.deltas[1] if field_name == "deltas" else getattr(order, field_name)
+        for name, bad in bad_word_arrays(good, fld).items():
+            value = (order.deltas[0], bad) if field_name == "deltas" else bad
+            with pytest.raises(OrderRejectedError, match="not .* elements"):
+                apply_append(state, dataclasses.replace(order, **{field_name: value}))
+            assert store.share_bytes(state) == before, (field_name, name)
+    # Good words are taken as stored words (numpy ints, in Z_p too) or in
+    # another integer dtype, and stored as the order's words.
+    for state, order, dtype in zip(servers, orders, (fld.stored_dtype, np.int64)):
+        cell = {name: np.array(getattr(order, name), dtype) for name in ("new_block", "new_tag")}
+        apply_append(state, dataclasses.replace(order, **cell))
+        held = state.cells.gather([meta.ktilde - 1])[0]
+        assert np.array_equal(held, [order.new_block, order.new_tag])
+
+
+@pytest.mark.parametrize("token", ["zp:2305843009213693951", "gf2:8", "gf2:16"])
+def test_verify_screens_word_arrays(token):
+    # A proof is screened as an order is: any mu or sigma that is not c
+    # elements fails its server only.
+    fld = field_from_token(token)
+    rng = random.Random(13)
+    sk, params = client.setup(fld, 5, 3, 2, block_size=8, rng=rng)
+    meta, shares = client.outsource(sk, params, rng.randbytes(60), rng=rng)
+    servers = client.make_server_states(meta, shares)
+    q = client.challenge(meta, 3, rng)
+    proof = [prove(state, q) for state in servers]
+    for words in proof[0]:
+        assert words.shape == (meta.chunks,) and words.dtype == fld.stored_dtype
+    assert client.verify(sk, meta, q, proof) == [True] * 5
+    mu, sigma = proof[2]
+    for name, bad in bad_word_arrays(mu, fld).items():
+        for pair in ((bad, sigma), (mu, bad)):
+            verdicts = client.verify(sk, meta, q, [*proof[:2], pair, *proof[3:]])
+            assert verdicts == [True, True, False, True, True], name
+    wide = [(np.array(mu, np.int64), np.array(sigma, np.int64)) for mu, sigma in proof]
+    assert client.verify(sk, meta, q, wide) == [True] * 5
 
 
 def test_read_block():
