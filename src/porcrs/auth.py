@@ -19,24 +19,27 @@ independently produced artifacts interoperate.  fid and the chunk index u
 take part in the input to domain-separate files under one key and to give
 every chunk its own mask.
 
-One kernel, prf_masks, computes the masks of many cells of one server's
-column: it keys one BLAKE2b state and feeds it fid once per call, and each
-cell then hashes a copy of that state, updated with i || j || ctr || u.
-The bytes hashed are those above, so the masks are unchanged; a batch
-saves the key-block compression and the per-cell set-up.  The chunk
-suffixes u are built per call; no module-level table holds them.  In
-GF(2^w) each cell's chunks go through three C-level passes, 256 chunks
-at a time: copy the cell state, update each copy, join the digests.
-prf, prf_vector, prf_vector_cached, tag_block, tag_delta and
-verify_block are one-cell wrappers over it, and the client calls it once
-per server for outsource, append and audit.  Outsource, repair's
-re-tagging and append share their servers between forked processes
-(``fanout.map_servers``) when the call is large enough and the process
-may use more than one CPU; each server's call runs whole in one process,
-so its masks are the ones above.  The children inherit the key as any
-fork does, and only stored words come back through an anonymous pipe.
-Audits and repair's cell checks stay in this process, since their
-stores into the mask cache would be lost in a child.
+One kernel, prf_cells, computes the masks of many cells, given as
+(row, server, ctr), of one server's column or of all n: it keys one
+BLAKE2b state and feeds it fid once per call, and each chunk then hashes
+a copy of that state, updated with i || j || ctr and then u.  The bytes
+hashed are those above, so the masks are unchanged; a batch saves the
+key-block compression and the per-cell set-up.  The chunk suffixes u are
+built per call; no module-level table holds them.  States are copied,
+updated and read in C-level passes, 256 at a time: in Z_p over the
+chunks of all cells, in GF(2^w) over each cell's chunks.  prf_masks is
+the kernel for one server's column (cells as (row, ctr)), and prf,
+prf_vector, prf_vector_cached, tag_block, tag_delta and verify_block are
+one-cell wrappers over the kernel.  The client calls prf_masks once per
+server for outsource and append, and an audit makes at most one kernel
+call for all n servers.  Outsource, repair's re-tagging and append share
+their servers between forked processes (``fanout.map_servers``) when the
+call is large enough and the process may use more than one CPU; each
+server's call runs whole in one process, so its masks are the ones
+above.  The children inherit the key as any fork does, and only stored
+words come back through an anonymous pipe.  Audits and repair's cell
+checks stay in this process, since their stores into the mask cache
+would be lost in a child.
 
 Masks, tags and tag deltas are arrays of stored words, one row per cell.
 An append asks for 1 + 2 stilde cells per server (the new data cell and
@@ -48,11 +51,19 @@ of the parity rows in row order.  An audit takes the masks of those rows
 from the carry too, so right after an in-memory append it asks the
 kernel only for data rows the mask cache lacks.  A ``porcrs append`` or
 ``porcrs audit`` process reads fresh metadata, has no carry, and
-computes every mask it needs.  The mask cache keeps data cells only
-(counter 0, a context that never changes), whoever calls it, each as the
-bytes of its stored words: they join into one array cheaply, and a
-cached mask holds no view of a larger array.  A carried mask of a data
-row joins the cache as a computed one would.
+computes every mask it needs.
+
+The mask cache keeps data rows only (counter 0, a context that never
+changes), one entry per grid row: the bytes of the stored words of
+servers 1..n's masks of that row, n the file's server count.  An audit
+(prf_rows_cached) takes one lookup per challenged row, and stores each
+data row it held or computed: a carried mask of a data row joins the
+cache as a computed one would, and the entry holds no view of a larger
+array.  Repair's cell check (prf_vector_cached) reads its server's slot
+of a cached row; on a miss it computes its one cell, never the row, and
+stores nothing.  The cache holds about 16,384 cells (16,384 // n rows)
+and is cleared wholesale when full.  Only those two functions and
+clear_prf_cache touch it.
 
 alpha is never 0: with alpha = 0 a tag is its mask alone, and any block
 would verify.
@@ -62,11 +73,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import os
 import random
+import struct
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 
 import numpy as np
 
@@ -114,69 +127,79 @@ def keygen(fld: Field, rng=None) -> SecretKey:
     return SecretKey(fld.rand_nonzero(rng), rng.getrandbits(256).to_bytes(32, "big"))
 
 
-# Chunk states alive at once in GF(2^w): 256 BLAKE2b objects take 112 KiB.
-# With a whole 2048-chunk cell at once, the allocator kept about 2 MiB more
-# after archive-gf2's set-up, memory those objects had used.
+# Chunk states alive at once: 256 BLAKE2b objects take 112 KiB.  With a
+# whole 2048-chunk cell at once, the allocator kept about 2 MiB more after
+# archive-gf2's set-up, memory those objects had used.
 _GROUP = 256
+_CONTEXT = struct.Struct(">QQQ")  # row || server || ctr
 
 
-def _digests(cell, suffixes) -> bytes:
-    """Digests of copies of the state cell, copy t updated with suffix t,
-    in three C-level passes: copy, update, join."""
+def _hashed(state, *parts) -> list:
+    """Copies of state, copy t updated with part[t] of each part in turn,
+    in C-level passes."""
     blake = hashlib.blake2b
-    states = list(map(blake.copy, repeat(cell, len(suffixes))))
-    deque(map(blake.update, states, suffixes), maxlen=0)
-    return b"".join(map(blake.digest, states))
+    states = list(map(blake.copy, repeat(state, len(parts[0]))))
+    for part in parts:
+        deque(map(blake.update, states, part), maxlen=0)
+    return states
+
+
+def prf_cells(kprf: bytes, fid: bytes, cells, count: int, fld: Field, *, first: int = 0):
+    """PRF masks of many cells, of one server's column or of several.
+
+    cells is a list of (row, server, ctr) triples; row t of the
+    (len(cells), count) array of stored words that is returned holds the
+    PRF values of chunks first..first+count-1 of cell t.  One keyed BLAKE2b
+    state absorbs fid once per call, and each chunk hashes a copy of it
+    updated with row || server || ctr, then with u, so the bytes are those
+    of the per-cell definition above.  Copies are made, updated and read
+    in C-level passes over _GROUP states at a time, and the 8-byte chunk
+    suffixes u are built once per call.  In Z_p a state is copied per
+    chunk and takes both parts, and each digest is reduced mod p.  In
+    GF(2^w) each cell's state takes row || server || ctr once and is
+    copied per chunk, and the low w bits of each digest, its last w/8
+    bytes, are read as one big-endian word, whatever w is.
+    """
+    if len(fid) != 16:
+        raise ParameterError("fid must be exactly 16 bytes")
+    if min(count, first) < 0 or (cells and min(chain.from_iterable(cells)) < 0):
+        raise ParameterError("context indices must be nonnegative")
+    base = hashlib.blake2b(fid, key=kprf, digest_size=_DIGEST)
+    chunks = list(map(int.to_bytes, range(first, first + count), repeat(8), repeat("big")))
+    contexts = list(starmap(_CONTEXT.pack, cells))
+    digest = hashlib.blake2b.digest
+    if isinstance(fld, BinaryField):
+        out = np.empty((len(cells), count), dtype=fld.stored_dtype)
+        word = np.dtype(f">u{fld.element_size}")
+        groups = [chunks[lo : lo + _GROUP] for lo in range(0, count, _GROUP)]
+        for t, context in enumerate(contexts):
+            cell = base.copy()
+            cell.update(context)
+            digests = b"".join([b"".join(map(digest, _hashed(cell, group))) for group in groups])
+            raw = np.frombuffer(digests, dtype=np.uint8).reshape(count, _DIGEST)
+            out[t] = raw[:, _DIGEST - word.itemsize :].copy().view(word).ravel()
+        return out
+    if count != 1:
+        contexts = list(chain.from_iterable(map(repeat, contexts, repeat(count))))
+    suffixes = chunks * len(cells)
+
+    def masks(lo: int):
+        states = _hashed(base, contexts[lo : lo + _GROUP], suffixes[lo : lo + _GROUP])
+        values = map(int.from_bytes, map(digest, states), repeat("big"))
+        return map(operator.mod, values, repeat(fld.order))
+
+    groups = map(masks, range(0, len(contexts), _GROUP))
+    out = np.fromiter(chain.from_iterable(groups), fld.stored_dtype, len(contexts))
+    return out.reshape(len(cells), count)
 
 
 def prf_masks(
     kprf: bytes, fid: bytes, server: int, cells, count: int, fld: Field, *, first: int = 0
 ):
-    """PRF masks of many cells of one server's column.
-
-    cells is a list of (row, ctr) pairs; row t of the (len(cells), count)
-    array of stored words that is returned holds the PRF values of chunks
-    first..first+count-1 of cell t.  One keyed BLAKE2b state absorbs fid
-    once per call, and each cell hashes a copy of it updated with
-    row || server || ctr || u, so the bytes are those of the per-cell
-    definition above.  The 8-byte chunk suffixes u are built once per
-    call.  A digest is reduced mod p in Z_p.  In GF(2^w) a cell's chunk
-    states go through three C-level passes (copy the cell state, update
-    each copy with its suffix, join the digests), _GROUP chunks at a time,
-    and the low w bits of each digest, its last w/8 bytes, are read as one
-    big-endian word, whatever w is.
-    """
-    if len(fid) != 16:
-        raise ParameterError("fid must be exactly 16 bytes")
-    if min(server, count, first) < 0 or (cells and min(chain.from_iterable(cells)) < 0):
-        raise ParameterError("context indices must be nonnegative")
-    base = hashlib.blake2b(fid, key=kprf, digest_size=_DIGEST)
-    sj = server.to_bytes(8, "big")
-    chunks = list(map(int.to_bytes, range(first, first + count), repeat(8), repeat("big")))
-    if isinstance(fld, BinaryField):
-        out = np.empty((len(cells), count), dtype=fld.stored_dtype)
-        word = np.dtype(f">u{fld.element_size}")
-        groups = [chunks[lo : lo + _GROUP] for lo in range(0, count, _GROUP)]
-        for t, (row, ctr) in enumerate(cells):
-            cell = base.copy()
-            cell.update(row.to_bytes(8, "big") + sj + ctr.to_bytes(8, "big"))
-            digests = b"".join([_digests(cell, group) for group in groups])
-            raw = np.frombuffer(digests, dtype=np.uint8).reshape(count, _DIGEST)
-            out[t] = raw[:, _DIGEST - word.itemsize :].copy().view(word).ravel()
-        return out
-    p = fld.order
-    copy = base.copy
-
-    def masks():
-        for row, ctr in cells:
-            msg = row.to_bytes(8, "big") + sj + ctr.to_bytes(8, "big")
-            for u8 in chunks:
-                h = copy()
-                h.update(msg + u8)
-                yield int.from_bytes(h.digest(), "big") % p
-
-    out = np.fromiter(masks(), dtype=fld.stored_dtype, count=len(cells) * count)
-    return out.reshape(len(cells), count)
+    """prf_cells for one server's column: cells is a list of (row, ctr)
+    pairs, and the array is the same."""
+    cells = [(row, server, ctr) for row, ctr in cells]
+    return prf_cells(kprf, fid, cells, count, fld, first=first)
 
 
 def prf(kprf: bytes, ctx: TagContext, fld: Field) -> int:
@@ -192,48 +215,65 @@ def prf_vector(kprf: bytes, ctx: TagContext, count: int, fld: Field):
 
 
 # Masks are PRF values the client can always recompute; memoize those of
-# counter-0 (data) cells, whose context never changes, while a parity
-# cell's moves with every append.  Cleared wholesale when full.
+# counter-0 (data) rows, whose context never changes, while a parity
+# row's moves with every append.  One entry per grid row holds the bytes
+# of the masks of servers 1..n, n the file's server count: about
+# _PRF_CACHE_MAX cells, 16,384 // n rows, cleared wholesale when full.
 _PRF_CACHE: dict = {}
 _PRF_CACHE_MAX = 16384
 
 
-def prf_masks_cached(
-    kprf: bytes, fid: bytes, server: int, cells, count: int, fld: Field, held=None
-):
-    """prf_masks, with counter-0 cells looked up in and stored to the cache;
-    the masks come back as one read-only array.
+def _row_key(kprf: bytes, fid: bytes, row: int, count: int, fld: Field) -> tuple:
+    return (kprf, fid, row, count, fld.token)
 
-    held maps the index of a cell in cells to the row of stored words the
-    caller already holds for it; that mask stands in for a kernel call and
-    is stored like a computed one.  Every other cell and every miss take
-    one kernel call.  The cache stores bytes of their own, never a view:
-    a held mask is often a row of an append's whole array, which a cache
-    entry would otherwise keep alive long after the append.
+
+def prf_rows_cached(kprf: bytes, fid: bytes, rows, fld: Field, out, held=None) -> None:
+    """Write the masks of servers 1..n at each (row, ctr) of rows into out,
+    a (len(rows), n, count) array of stored words.
+
+    A counter-0 row takes one cache lookup.  held maps the index of a row
+    in rows to the (n, count) stored words the caller already holds for
+    it; they stand in for the kernel.  Every other row's n cells go to one
+    kernel call with the other misses.  Counter-0 rows, held or computed,
+    are stored as bytes of their own, never a view: a held row is often
+    made of rows of an append's arrays, which a cache entry would
+    otherwise keep alive long after the append.  A mask does not depend on
+    n, so an entry of more servers serves a smaller n too.
     """
-    keys = [(kprf, fid, row, server, count, fld.token) if ctr == 0 else None for row, ctr in cells]
-    out = [key and _PRF_CACHE.get(key) for key in keys]
-    taken = [(t, mask.tobytes()) for t, mask in held.items() if out[t] is None] if held else []
-    for t, mask in taken:
-        out[t] = mask
-    missing = [t for t, mask in enumerate(out) if mask is None]
-    fresh = ()
+    _, n, count = out.shape
+    keys = [_row_key(kprf, fid, row, count, fld) if ctr == 0 else None for row, ctr in rows]
+    fresh, missing = [], []
+    for t, key in enumerate(keys):
+        entry = _PRF_CACHE.get(key) if key else None
+        if entry is not None and len(entry) >= out[t].nbytes:
+            out[t] = np.frombuffer(entry, fld.stored_dtype, n * count).reshape(n, count)
+        elif held and t in held:
+            out[t] = held[t]
+            fresh.append(t)
+        else:
+            missing.append(t)
     if missing:
-        computed = prf_masks(kprf, fid, server, [cells[t] for t in missing], count, fld)
-        fresh = map(np.ndarray.tobytes, computed)
-    for t, mask in chain(taken, zip(missing, fresh)):
-        out[t] = mask
+        cells = [(rows[t][0], j, rows[t][1]) for t in missing for j in range(1, n + 1)]
+        out[missing] = prf_cells(kprf, fid, cells, count, fld).reshape(len(missing), n, count)
+    for t in fresh + missing:
         if keys[t] is None:
             continue
-        if len(_PRF_CACHE) >= _PRF_CACHE_MAX:
+        if len(_PRF_CACHE) >= max(1, _PRF_CACHE_MAX // n):
             _PRF_CACHE.clear()
-        _PRF_CACHE[keys[t]] = mask
-    return np.frombuffer(b"".join(out), fld.stored_dtype).reshape(len(cells), count)
+        _PRF_CACHE[keys[t]] = out[t].tobytes()
 
 
 def prf_vector_cached(kprf: bytes, ctx: TagContext, count: int, fld: Field):
-    """prf_vector through the cache, as a read-only row of stored words."""
-    return prf_masks_cached(kprf, ctx.fid, ctx.server, [(ctx.row, ctx.ctr)], count, fld)[0]
+    """One cell's masks, as a read-only row of stored words: its server's
+    slot of a cached row, or on a miss that cell alone from the kernel,
+    never its whole row, and stored nowhere."""
+    size = count * fld.element_size
+    entry = _PRF_CACHE.get(_row_key(kprf, ctx.fid, ctx.row, count, fld)) if ctx.ctr == 0 else None
+    if entry is not None and 0 < ctx.server and ctx.server * size <= len(entry):
+        return np.frombuffer(entry, fld.stored_dtype, count, (ctx.server - 1) * size)
+    masks = prf_cells(kprf, ctx.fid, [(ctx.row, ctx.server, ctx.ctr)], count, fld)[0]
+    masks.flags.writeable = False
+    return masks
 
 
 def clear_prf_cache() -> None:

@@ -22,9 +22,12 @@ metadata (each ``porcrs append`` process) asks for 1 + 2 stilde.  Audits
 challenge l random rows with random coefficients and check the servers'
 aggregates against the PRF masks of the challenged cells; parity rows are
 checked at the current append counter, which is what makes stale
-(pre-append) parity detectable.  An audit takes the masks of rows
-ktilde..r from the carry and asks the PRF mask cache for the others, so
-an audit right after an in-memory append computes no mask of the newest
+(pre-append) parity detectable.  Verify checks all n servers in one
+pass: it screens every response, fetches each challenged row's masks of
+all n servers at once (rows ktilde..r from the carry, data rows from the
+PRF mask cache, one lookup per row, and the rest from one kernel call),
+and makes one combination over every server's masks and mu.  So an
+audit right after an in-memory append computes no mask of the newest
 row or of any parity row; a ``porcrs audit`` process reads fresh
 metadata and has no carry.  The carry reissues no tag context and
 changes no verdict; it only skips recomputing masks.  Each server's PRF
@@ -436,42 +439,53 @@ def verify(sk: SecretKey, meta: FileMetadata, q: ChallengeSet, proof) -> list[bo
     For each responding server the aggregate tag must equal the challenge
     combination of that server's PRF masks (data rows at counter 0, parity
     rows at the current counter) plus alpha times the aggregate block.
-    The masks of rows ktilde..r that the last append left on this metadata
-    under this key go to auth.prf_masks_cached as held masks, so that only
-    the other rows can reach the PRF kernel, and the newest data row's mask
-    joins the cache as a computed one would.  A pair is screened as an
-    order is; one combination of the masks and mu (alpha its coefficient)
-    must give sigma's words.
+    All n servers are checked in one pass.  Each pair is screened as an
+    order is, and a bad one fails its own server only.  The masks of the
+    challenged rows come from auth.prf_rows_cached, one (n, c) row each:
+    rows ktilde..r from the masks the last append left on this metadata
+    under this key, the others from the cache or one kernel call, and the
+    newest data row joins the cache as a computed one would.  One
+    combination over every server's masks and mu (alpha mu's coefficient)
+    must then give each server's sigma.
     """
-    fld = meta.field
-    c = meta.chunks
-    if len(proof) != meta.n:
-        raise ParameterError(f"proof must cover all {meta.n} servers")
+    fld, n, c = meta.field, meta.n, meta.chunks
+    if len(proof) != n:
+        raise ParameterError(f"proof must cover all {n} servers")
     for i, _ in q.entries:
         if not 1 <= i <= meta.r:
             raise ParameterError(f"challenged row {i} out of range")
-    coeffs = [nu for _, nu in q.entries] + [sk.alpha]
-    cells = [(i, cell_ctr(meta.ktilde, meta.ctr, i)) for i, _ in q.entries]
-    carried = _carried_masks(sk, meta)
-    # (challenge entry, carry slot) of each challenged row the carry holds.
-    lifted = [] if carried is None else [
-        (t, i - meta.ktilde) for t, (i, _) in enumerate(q.entries) if i >= meta.ktilde
-    ]
-    verdicts = []
-    for j in range(1, meta.n + 1):
+    l = len(q.entries)
+    # Rows 0..l-1 of the combine: each challenged row's masks of servers
+    # 1..n; row l: every server's mu.  Zeros where a pair fails screening.
+    stacked = np.zeros((l + 1, n, c), fld.stored_dtype)
+    sigmas = np.zeros((n, c), fld.stored_dtype)
+    screened = []
+    for j, response in enumerate(proof):
         try:
-            mu, sigma = proof[j - 1]
+            mu, sigma = response
         except (TypeError, ValueError):
             mu = sigma = None  # missing (None), or not a pair
         # Anything but two rows of c field elements fails this server only.
         pair = fld.as_words([mu, sigma], c)
-        ok = pair is not None
-        if ok:
-            held = {t: carried[j - 1][slot] for t, slot in lifted}
-            masks = auth.prf_masks_cached(sk.kprf, meta.fid, j, cells, c, fld, held)
-            expected = fld.vec_combine(coeffs, np.concatenate([masks, pair[:1]]))
-            ok = np.array_equal(pair[1], np.asarray(expected, fld.stored_dtype))
-        verdicts.append(ok)
+        if pair is not None:
+            stacked[l, j], sigmas[j] = pair
+        screened.append(pair is not None)
+    rows = [(i, cell_ctr(meta.ktilde, meta.ctr, i)) for i, _ in q.entries]
+    carried = _carried_masks(sk, meta)
+    # Challenge entry -> carry slot, for each challenged row the carry holds.
+    lifted = {} if carried is None else {
+        t: i - meta.ktilde for t, (i, _) in enumerate(q.entries) if i >= meta.ktilde
+    }
+    held = None
+    if lifted:
+        slots = list(lifted.values())
+        held = dict(zip(lifted, np.stack([masks[slots] for masks in carried], axis=1)))
+    auth.prf_rows_cached(sk.kprf, meta.fid, rows, fld, stacked[:l], held)
+    coeffs = [nu for _, nu in q.entries] + [sk.alpha]
+    expected = fld.vec_combine(coeffs, stacked.reshape(l + 1, n * c))
+    matches = (np.asarray(expected, fld.stored_dtype).reshape(n, c) == sigmas).all(axis=1)
+    verdicts = [ok and match for ok, match in zip(screened, matches.tolist())]
+    for j, ok in enumerate(verdicts, 1):
         meta.history(j).append(ok)
     return verdicts
 

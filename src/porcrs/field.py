@@ -39,6 +39,13 @@ MERSENNE61 = (1 << 61) - 1
 _REDUCTION_POLY = {8: 0x11D, 16: 0x1100B}
 _DTYPE = {8: np.uint8, 16: np.uint16}
 
+# Words one pass of BinaryField.vec_combine gathers, so that its index
+# arrays stay under 1 MB whatever the number of rows (np.take widens
+# indices to intp).  A (1000, 4096) combine in one pass ran slower per row
+# than a (100, 4096) one; in passes of 2^14 to 2^20 words both ran at
+# about the same speed per row.
+_COMBINE_WORDS = 1 << 15
+
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -318,13 +325,7 @@ class PrimeField(Field):
         else:
             columns = [map(operator.itemgetter(u), vecs) for u in range(len(vecs[0]))]
         p = self.modulus
-        out = []
-        for column in columns:
-            acc = 0
-            for s, x in zip(coeffs, column):
-                acc += s * x
-            out.append(acc % p)
-        return tuple(out)
+        return tuple([sum(map(operator.mul, coeffs, column)) % p for column in columns])
 
     def vec_eq(self, u, v):
         return tuple(u) == tuple(v)
@@ -473,9 +474,15 @@ class BinaryField(Field):
             raise ParameterError("vectors must have the same length") from None
         if len(coeffs) != mat.shape[0]:
             raise ParameterError("one coefficient per vector required")
-        idx = np.take(self._log, mat)
-        idx += np.take(self._log, coeffs)[:, None]  # in place: no second index array
-        return np.bitwise_xor.reduce(np.take(self._exp, idx), axis=0)
+        logs = np.take(self._log, coeffs)[:, None]
+        step = max(1, _COMBINE_WORDS // max(1, mat.shape[1]))
+        out = None
+        for lo in range(0, len(mat), step):
+            idx = np.take(self._log, mat[lo : lo + step])
+            idx += logs[lo : lo + step]  # in place: no second index array
+            part = np.bitwise_xor.reduce(np.take(self._exp, idx), axis=0)
+            out = part if out is None else np.bitwise_xor(out, part, out=out)
+        return out
 
     def vec_eq(self, u, v):
         return len(u) == len(v) and bool(np.array_equal(u, v))

@@ -486,47 +486,124 @@ def test_prf_masks_match_per_cell_blake2b(fld):
             assert fld.vec_to_ints(vec) == want
 
 
+@pytest.mark.parametrize("fld", [M61, GF8, GF16], ids=lambda f: f.token)
+def test_prf_cells_take_cells_of_several_servers(fld):
+    # One call over (row, server, ctr) cells gives each server's masks as
+    # its own column's call does, chunk groups and a chunk offset included.
+    rng = random.Random(16)
+    cells = [(rng.randrange(1, 50), rng.randrange(1, 20), rng.randrange(3)) for _ in range(12)]
+    for count, first in ((3, 0), (257, 40)):
+        masks = auth.prf_cells(KEY, FID, cells, count, fld, first=first)
+        assert masks.shape == (len(cells), count) and masks.dtype == fld.stored_dtype
+        for (row, server, ctr), got in zip(cells, masks):
+            want = auth.prf_masks(KEY, FID, server, [(row, ctr)], count, fld, first=first)
+            assert np.array_equal(got, want[0])
+
+
+def spy_on_kernel(monkeypatch):
+    """Record the cells of every prf_cells call."""
+    asked = []
+    kernel = auth.prf_cells
+
+    def spy(kprf, fid, cells, count, fld, **kwargs):
+        asked.append(list(cells))
+        return kernel(kprf, fid, cells, count, fld, **kwargs)
+
+    monkeypatch.setattr(auth, "prf_cells", spy)
+    return asked
+
+
+def rows_cached(n, rows, count, fld, held=None):
+    """prf_rows_cached into a new (len(rows), n, count) array."""
+    out = np.empty((len(rows), n, count), fld.stored_dtype)
+    auth.prf_rows_cached(KEY, FID, rows, fld, out, held)
+    return out
+
+
+def server_rows(rows, n, count, fld):
+    """The kernel's masks of servers 1..n at each (row, ctr), as an
+    (len(rows), n, count) array."""
+    return np.stack([auth.prf_masks(KEY, FID, j, rows, count, fld) for j in range(1, n + 1)], 1)
+
+
 @pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
 def test_prf_masks_cached_matches_kernel(fld, monkeypatch):
-    # Counter-0 cells are looked up and stored; any other cell is computed
-    # in the same kernel call as the misses and never stored.
+    # Counter-0 rows are looked up and stored, one entry per row holding
+    # every server's masks; any other row is computed in the same kernel
+    # call as the misses and never stored.
     auth.clear_prf_cache()
-    cells = [(3, 0), (9, 2), (4, 1), (5, 0)]
-    first = auth.prf_masks_cached(KEY, FID, 2, cells[:2], 4, fld)
-    fresh = auth.prf_masks(KEY, FID, 2, cells, 4, fld)
-    asked = []
-    kernel = auth.prf_masks
-    monkeypatch.setattr(
-        auth, "prf_masks", lambda *args: asked.append(list(args[3])) or kernel(*args)
-    )
-    both = auth.prf_masks_cached(KEY, FID, 2, cells, 4, fld)
-    assert asked == [cells[1:]]  # a hit is not computed; counter 2 is, again
+    n, rows = 3, [(3, 0), (9, 2), (4, 1), (5, 0)]
+    first = rows_cached(n, rows[:2], 4, fld)
+    fresh = server_rows(rows, n, 4, fld)
+    asked = spy_on_kernel(monkeypatch)
+    both = rows_cached(n, rows, 4, fld)
+    # A hit is not computed; counter 2 is, again, with the other misses.
+    assert asked == [[(i, j, ctr) for i, ctr in rows[1:] for j in range(1, n + 1)]]
     assert sorted(key[2] for key in auth._PRF_CACHE) == [3, 5]
+    assert {len(entry) for entry in auth._PRF_CACHE.values()} == {n * 4 * fld.element_size}
     assert np.array_equal(first, fresh[:2]) and np.array_equal(both, fresh)
-    assert both.dtype == fld.stored_dtype
-    assert not both.flags.writeable  # the cache may share the words
+    # The cache keeps words of its own: changing the array changes no entry.
+    both[...] = 0
+    assert np.array_equal(rows_cached(n, rows[:1], 4, fld), fresh[:1])
+    # A mask does not depend on n: a row of 3 servers serves 2, but not 4.
+    asked.clear()
+    assert np.array_equal(rows_cached(2, rows[:1], 4, fld), fresh[:1, :2])
+    assert asked == []
+    wider = rows_cached(4, rows[:1], 4, fld)
+    assert asked == [[(3, j, 0) for j in range(1, 5)]]
+    assert np.array_equal(wider, server_rows(rows[:1], 4, 4, fld))
 
 
 @pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
 def test_prf_masks_cached_takes_held_masks(fld, monkeypatch):
-    # A held mask stands in for the kernel, and a counter-0 one is stored
+    # A held row stands in for the kernel, and a counter-0 one is stored
     # as a computed one would be.
     auth.clear_prf_cache()
-    cells = [(3, 0), (9, 2), (4, 1), (5, 0)]
-    fresh = auth.prf_masks(KEY, FID, 2, cells, 4, fld)
+    n, rows = 3, [(3, 0), (9, 2), (4, 1), (5, 0)]
+    fresh = server_rows(rows, n, 4, fld)
     held = {0: fresh[0], 1: fresh[1]}
-    asked = []
-    kernel = auth.prf_masks
-    monkeypatch.setattr(
-        auth, "prf_masks", lambda *args: asked.append(list(args[3])) or kernel(*args)
-    )
-    got = auth.prf_masks_cached(KEY, FID, 2, cells, 4, fld, held)
-    assert asked == [cells[2:]]
+    asked = spy_on_kernel(monkeypatch)
+    got = rows_cached(n, rows, 4, fld, held)
+    assert asked == [[(i, j, ctr) for i, ctr in rows[2:] for j in range(1, n + 1)]]
     assert np.array_equal(got, fresh)
     assert sorted(key[2] for key in auth._PRF_CACHE) == [3, 5]
     asked.clear()
-    assert np.array_equal(auth.prf_masks_cached(KEY, FID, 2, [cells[0]], 4, fld)[0], fresh[0])
+    assert np.array_equal(rows_cached(n, rows[:1], 4, fld)[0], fresh[0])
     assert asked == []
+
+
+def test_prf_cache_is_cleared_when_its_rows_reach_the_cell_bound(monkeypatch):
+    # The bound is _PRF_CACHE_MAX cells: _PRF_CACHE_MAX // n rows of n.
+    monkeypatch.setattr(auth, "_PRF_CACHE_MAX", 12)
+    auth.clear_prf_cache()
+    for row in range(1, 5):
+        rows_cached(3, [(row, 0)], 2, M61)
+    assert sorted(key[2] for key in auth._PRF_CACHE) == [1, 2, 3, 4]
+    rows_cached(3, [(5, 0)], 2, M61)
+    assert sorted(key[2] for key in auth._PRF_CACHE) == [5]
+    auth.clear_prf_cache()
+
+
+@pytest.mark.parametrize("fld", [M61, GF16], ids=lambda f: f.token)
+def test_prf_vector_cached_reads_one_slot_or_computes_one_cell(fld, monkeypatch):
+    # A hit is its server's slot of a cached row; a miss is that one cell,
+    # never its row, and it is stored nowhere.
+    auth.clear_prf_cache()
+    n, count = 4, 5
+    rows = rows_cached(n, [(6, 0)], count, fld)
+    asked = spy_on_kernel(monkeypatch)
+    for j in range(1, n + 1):
+        got = auth.prf_vector_cached(KEY, TagContext(FID, 6, j, 0), count, fld)
+        assert np.array_equal(got, rows[0, j - 1]) and not got.flags.writeable
+    assert asked == []
+    for ctx in (TagContext(FID, 7, 2, 0), TagContext(FID, 6, 2, 3), TagContext(FID, 6, n + 1, 0)):
+        asked.clear()
+        got = auth.prf_vector_cached(KEY, ctx, count, fld)
+        assert asked == [[(ctx.row, ctx.server, ctx.ctr)]]
+        want = auth.prf_masks(KEY, FID, ctx.server, [(ctx.row, ctx.ctr)], count, fld)
+        assert np.array_equal(got, want[0])
+        assert not got.flags.writeable
+    assert list(auth._PRF_CACHE) == [auth._row_key(KEY, FID, 6, count, fld)]
 
 
 @pytest.mark.parametrize(
@@ -543,3 +620,5 @@ def test_prf_masks_cached_takes_held_masks(fld, monkeypatch):
 def test_prf_masks_validation(fid, server, cells):
     with pytest.raises(ParameterError):
         auth.prf_masks(KEY, fid, server, cells, 1, M61)
+    with pytest.raises(ParameterError):
+        auth.prf_cells(KEY, fid, [(row, server, ctr) for row, ctr in cells], 1, M61)

@@ -6,6 +6,7 @@ import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from porcrs import auth, client, crs, server, store
@@ -355,16 +356,10 @@ def test_verify_caches_only_data_cell_masks(token, monkeypatch):
     # every parity cell goes to the kernel.
     meta.parity_masks = None
     servers[2].cells[meta.ktilde :] = stale  # keeps its pre-append parity
-    computed = []
-    kernel = auth.prf_masks
-
-    def spy(kprf, fid, j, cells, count, fld):
-        computed.append(list(cells))
-        return kernel(kprf, fid, j, cells, count, fld)
-
-    monkeypatch.setattr(auth, "prf_masks", spy)
+    computed = spy_on_kernel(monkeypatch)
     auth.clear_prf_cache()
     data_rows, parity_rows = range(1, meta.ktilde + 1), range(meta.ktilde + 1, meta.r + 1)
+    servers_1_to_n = range(1, meta.n + 1)
     for _ in range(4):
         rows = rng.sample(data_rows, 3) + rng.sample(parity_rows, 2)
         rng.shuffle(rows)
@@ -388,11 +383,12 @@ def test_verify_caches_only_data_cell_masks(token, monkeypatch):
         assert verify(sk, meta, q, proof) == oracle
         assert oracle == [True, True, False, True, True, True]
         assert {key[2] for key in auth._PRF_CACHE} <= set(data_rows)
-        # The same challenge again: data cells hit, parity cells are recomputed.
+        # The same challenge again: data rows hit, parity rows are
+        # recomputed, every server's in one kernel call.
         computed.clear()
         assert verify(sk, meta, q, proof) == oracle
-        parity = sorted((i, meta.ctr) for i in rows if i > meta.ktilde)
-        assert [sorted(cells) for cells in computed] == [parity] * meta.n
+        parity = sorted((i, j, meta.ctr) for i in rows if i > meta.ktilde for j in servers_1_to_n)
+        assert [sorted(cells) for cells in computed] == [parity]
 
 
 @pytest.mark.parametrize("token", ["zp", "gf2:16"])
@@ -769,6 +765,19 @@ def spy_on_prf_masks(monkeypatch):
     return asked
 
 
+def spy_on_kernel(monkeypatch):
+    """Record the cells of every prf_cells call."""
+    asked = []
+    kernel = auth.prf_cells
+
+    def spy(kprf, fid, cells, count, fld, **kwargs):
+        asked.append(list(cells))
+        return kernel(kprf, fid, cells, count, fld, **kwargs)
+
+    monkeypatch.setattr(auth, "prf_cells", spy)
+    return asked
+
+
 def next_row(meta, rng):
     payload = client.block_payload_size(meta.field, meta.chunks) * meta.k
     return client.row_blocks_from_payload(meta, rng.randbytes(payload))
@@ -896,14 +905,15 @@ def test_verify_with_the_carry_gives_the_same_verdicts(token, monkeypatch):
     data = rng.sample(older, 3)
     q = client.ChallengeSet(0, tuple((i, fld.rand_nonzero(rng)) for i in data))
     verify(sk, meta, q, [server.prove(state, q) for state in servers])
-    asked = spy_on_prf_masks(monkeypatch)
+    asked = spy_on_kernel(monkeypatch)
     rows = data + newest + parity
     q = client.ChallengeSet(0, tuple((i, fld.rand_nonzero(rng)) for i in rows))
     proof = [server.prove(state, q) for state in servers]
     assert verify(sk, meta, q, proof) == [True, False, False, True, True, True]
     assert asked == []
-    newest = {(sk.kprf, meta.fid, meta.ktilde, j, meta.chunks, fld.token) for j in range(1, 7)}
-    assert newest <= auth._PRF_CACHE.keys()
+    # One entry for the newest row, holding all six servers' masks.
+    entry = auth._PRF_CACHE[(sk.kprf, meta.fid, meta.ktilde, meta.chunks, fld.token)]
+    assert len(entry) == 6 * meta.chunks * fld.element_size
 
 
 def proof_for(sk, meta, q, rng):
@@ -931,10 +941,10 @@ def test_verify_ignores_a_carry_under_another_key(tmp_path, monkeypatch):
         verdicts = []
         for twin in (dataclasses.replace(case), dataclasses.replace(case, parity_masks=None)):
             auth.clear_prf_cache()
-            asked = spy_on_prf_masks(monkeypatch)
+            asked = spy_on_kernel(monkeypatch)
             verdicts.append(verify(key, twin, q, proof))
             monkeypatch.undo()
-            assert asked == [len(rows)] * case.n, name
+            assert list(map(len, asked)) == [len(rows) * case.n], name
         assert verdicts[0] == verdicts[1] == [False] + [True] * (case.n - 1), name
 
 
@@ -969,3 +979,110 @@ def test_cached_masks_keep_no_append_array_alive(token):
     meta.parity_masks = None
     gc.collect()
     assert [ref() for ref in arrays] == [None] * meta.n
+
+
+def reference_verdicts(sk, meta, q, proof):
+    """Per-server verdicts from the definition: a response is two rows of
+    c field elements, and sigma = sum_i nu_i PRF(i, j, ctr_i) + alpha mu,
+    chunk by chunk, with the masks from the kernel, one server at a time."""
+    fld, c = meta.field, meta.chunks
+    cells = [(i, client.cell_ctr(meta.ktilde, meta.ctr, i)) for i, _ in q.entries]
+    verdicts = []
+    for j, response in enumerate(proof, 1):
+        try:
+            rows = [np.asarray(v) for v in response]
+        except TypeError:
+            rows = []
+        if len(rows) != 2 or any(
+            v.shape != (c,) or v.dtype.kind not in "iu" or v.min() < 0 or v.max() >= fld.order
+            for v in rows
+        ):
+            verdicts.append(False)
+            continue
+        mu, sigma = (list(map(int, v)) for v in rows)
+        masks = auth.prf_masks(sk.kprf, meta.fid, j, cells, c, fld).tolist()
+        want = [fld.mul(sk.alpha, x) for x in mu]
+        for (_, nu), mask in zip(q.entries, masks):
+            want = [fld.add(w, fld.mul(nu, m)) for w, m in zip(want, mask)]
+        verdicts.append(want == sigma)
+    return verdicts
+
+
+@pytest.mark.parametrize("token", sorted(FIELDS))
+def test_one_pass_verify_matches_a_per_server_reference(token, monkeypatch):
+    fld = FIELDS[token]
+    rng = random.Random(46)
+    sk, meta, servers, stale = appended_servers(fld, rng)
+    c = meta.chunks
+    servers[5].cells[meta.ktilde :] = stale[5]  # parity rolled back one append
+    other = keygen(fld, rng)
+    newest, parity = [meta.ktilde], list(range(meta.ktilde + 1, meta.r + 1))
+    older = list(range(1, meta.ktilde))
+    row_sets = [older[:2] + newest + parity, rng.sample(older, 3), newest, parity[:1]]
+    # The second time, data rows come from the cache.  Last, all coefficients
+    # 0: a zero response then matches, and only screening fails a bad pair.
+    challenges = [[(i, fld.rand_element(rng)) for i in rows] for rows in row_sets * 2]
+    challenges.append([(i, 0) for i in row_sets[0]])
+    kernel_calls = spy_on_kernel(monkeypatch)
+    auth.clear_prf_cache()
+    for entries in challenges:
+        q = client.ChallengeSet(0, tuple(entries))
+        rows = [i for i, _ in entries]
+        honest = [server.prove(state, q) for state in servers]
+        mu, sigma = honest[4]
+        bumped = fld.vec_add(fld.vectors_from_words(mu[None])[0], fld.vec_from_ints([1] * c))
+        proofs = {
+            "honest": honest,
+            "none": [None] + honest[1:],
+            "not a pair": [honest[0][:1], (mu, sigma, mu)] + honest[2:],
+            "wrong shape": [(mu[:-1], sigma[:-1]), (mu[None], sigma)] + honest[2:],
+            "non-elements": [
+                (mu.astype(float), sigma),
+                (np.full(c, fld.order, np.int64), sigma),
+                ([True] * c, sigma),
+            ] + honest[3:],
+            "tampered mu": honest[:4] + [(bumped, sigma)] + honest[5:],
+        }
+        failing = {
+            "honest": [], "none": [0], "not a pair": [0, 1], "wrong shape": [0, 1],
+            "non-elements": [0, 1, 2], "tampered mu": [4],
+        }
+        for name, proof in proofs.items():
+            metas = {
+                "carry": (sk, meta),
+                "no carry": (sk, dataclasses.replace(meta, parity_masks=None)),
+                "carry under another key": (other, meta),
+            }
+            for how, (key, case) in metas.items():
+                kernel_calls.clear()
+                got = verify(key, case, q, proof)
+                assert len(kernel_calls) <= 1, (rows, name, how)
+                assert got == reference_verdicts(key, case, q, proof), (rows, name, how)
+            want = [True] * 5 + [not any(nu for i, nu in entries if i in parity)]
+            for t in failing[name]:
+                want[t] = False
+            assert verify(sk, meta, q, proof) == want, (rows, name)
+
+
+def test_repair_checks_each_cell_alone(monkeypatch):
+    # Repair's tag checks take a cached row's slot or compute their one
+    # cell: the kernel sees the checked cells that no cached row holds,
+    # plus the re-tagging of every cell, and never a whole row on a miss.
+    rng = random.Random(47)
+    sk, meta, servers, _ = appended_servers(M61, rng, appends=2)
+    auth.clear_prf_cache()
+    q = client.ChallengeSet(0, tuple((i, 1) for i in (1, 3)))
+    assert all(verify(sk, meta, q, [server.prove(state, q) for state in servers]))
+    cached = {key[2] for key in auth._PRF_CACHE}
+    assert cached == {1, 3}
+    servers[2].cells = [None] * meta.r
+    dumps = [server.dump_all(state) for state in servers]
+    checked = [(i, j) for j in range(1, meta.n + 1) if j != 3 for i in range(1, meta.r + 1)]
+    asked = spy_on_kernel(monkeypatch)
+    result = redistribute(sk, meta, dumps)
+    assert result is not None
+    misses = [cell for cell in checked if cell[0] not in cached]
+    retagged = meta.n * result.meta.r
+    assert sum(map(len, asked)) == len(misses) + retagged
+    checks = [cells for cells in asked if len(cells) == 1]
+    assert sorted((i, j) for ((i, j, _),) in checks) == sorted(misses)

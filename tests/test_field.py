@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from porcrs import field as field_module
 from porcrs.errors import FieldMismatchError, ParameterError
 from porcrs.field import (
     MERSENNE61,
@@ -143,6 +144,36 @@ def test_vec_combine_on_stored_words_matches_shift_and_xor(fld):
     got = fld.vec_combine(scalars, words)
     assert got.dtype == fld.dtype and fld.vec_to_ints(got) == expect
     assert fld.vec_to_ints(fld.vec_combine(scalars, words[:, 3:9])) == expect[3:9]
+
+
+def single_pass_combine(fld, coeffs, words):
+    """sum_i coeffs[i] * words[i] in GF(2^w) from one gather of every row."""
+    logs = fld._log[np.asarray(coeffs)][:, None]
+    return np.bitwise_xor.reduce(fld._exp[fld._log[words] + logs], axis=0)
+
+
+@pytest.mark.parametrize("fld", [GF8, GF16], ids=lambda f: f.token)
+def test_row_blocked_combine_matches_one_pass(fld, monkeypatch):
+    # vec_combine gathers _COMBINE_WORDS words per pass and XORs the
+    # passes: around each block boundary the words are those of one pass.
+    rng = np.random.default_rng(17)
+
+    def check(rows, width):
+        words = rng.integers(0, fld.order, (rows, width)).astype(fld.stored_dtype)
+        coeffs = rng.integers(0, fld.order, rows).tolist()
+        coeffs[0] = 0  # log(0) lands in the antilog table's zero tail
+        got = fld.vec_combine(coeffs, words)
+        assert got.dtype == fld.dtype
+        assert np.array_equal(got, single_pass_combine(fld, coeffs, words)), (rows, width)
+
+    step = field_module._COMBINE_WORDS // 4096
+    for rows in (1, step - 1, step, step + 1, 2 * step + 1):
+        check(rows, 4096)
+    # A small block: 4 rows of 16 words a pass, and rows wider than a block.
+    monkeypatch.setattr(field_module, "_COMBINE_WORDS", 64)
+    for rows in (3, 4, 5, 8, 9, 13):
+        check(rows, 16)
+    check(5, 100)
 
 
 @pytest.mark.parametrize("fld", [GF8, GF16], ids=lambda f: f.token)

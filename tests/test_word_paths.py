@@ -35,8 +35,8 @@ ALLOWED = {
 WORD_PATH = {
     "client.row_blocks_from_payload", "client.append", "client._tag_columns", "client.verify",
     "server.apply_append", "server.prove", "server.Column._encode", "server.Column.insert",
-    "auth.prf_masks", "auth.prf_masks_cached", "auth.tags_from_masks", "auth.tag_deltas",
-    "crs.DistributionMatrix.parity_delta", "crs.DistributionMatrix.encode_words",
+    "auth.prf_cells", "auth.prf_masks", "auth.prf_rows_cached", "auth.tags_from_masks",
+    "auth.tag_deltas", "crs.DistributionMatrix.parity_delta", "crs.DistributionMatrix.encode_words",
     "cli._holds_order", "cli._stage",
 }
 
